@@ -1,6 +1,7 @@
 package server
 
 import (
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -135,5 +136,74 @@ func TestCorruptSessionQuarantinedInIsolation(t *testing.T) {
 	// The healthy session is untouched: same rows, straight from disk.
 	if got := fetchCandidates(t, srv2, idGood); !reflect.DeepEqual(goodRows, got) {
 		t.Fatal("healthy session's data drifted across the quarantine event")
+	}
+}
+
+// TestQuarantineRetiresStandbyCopy: with replication on, quarantining a
+// corrupt session also deletes the standby's copy, and replication lag
+// reads 0 only once the standby no longer holds it.
+func TestQuarantineRetiresStandbyCopy(t *testing.T) {
+	dataDir := t.TempDir()
+	standby, err := persist.NewReplica(filepath.Join(t.TempDir(), "sessions"), quietLogger())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go standby.Serve(ln)
+	t.Cleanup(func() { standby.Close() })
+	sys := demoSystem(t)
+	cfg := Config{DataDir: dataDir, Logger: quietLogger(), ReplicateTo: ln.Addr().String()}
+	waitCurrent := func(h *Server) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for st := h.shipper.Stats(); !st.Connected || st.LagSessions != 0; st = h.shipper.Stats() {
+			if time.Now().After(deadline) {
+				t.Fatalf("standby never caught up: %+v", st)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+
+	h1 := NewWithConfig(sys, cfg)
+	srv1 := httptest.NewServer(h1)
+	idBad := createSession(t, srv1, nil)
+	waitCurrent(h1)
+	h1.Close()
+	srv1.Close()
+
+	snap := filepath.Join(dataDir, "sessions", idBad, persist.SnapshotFile)
+	b, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := len(b) / 2; i < len(b)/2+8 && i < len(b); i++ {
+		b[i] ^= 0xFF
+	}
+	if err := os.WriteFile(snap, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	h2 := NewWithConfig(sys, cfg)
+	srv2 := httptest.NewServer(h2)
+	t.Cleanup(srv2.Close)
+	t.Cleanup(func() { h2.Close() })
+	waitCurrent(h2)
+	if code, _ := askText(t, srv2, idBad, "no-modification"); code != http.StatusNotFound {
+		t.Fatalf("corrupt session answered %d, want 404", code)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		_, err := os.Stat(filepath.Join(standby.Root(), idBad))
+		gone := os.IsNotExist(err)
+		if st := h2.shipper.Stats(); st.Connected && st.LagSessions == 0 && gone {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("standby kept the quarantined session (gone=%v): %+v", gone, h2.shipper.Stats())
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

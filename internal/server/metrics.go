@@ -175,7 +175,7 @@ func shipperStats() (sum persist.ShipperStats, any bool) {
 	for _, s := range ss {
 		st := s.Stats()
 		sum.Connected = sum.Connected && st.Connected
-		sum.LagRecords += st.LagRecords
+		sum.LagSessions += st.LagSessions
 		sum.LagBytes += st.LagBytes
 		sum.ShippedRecords += st.ShippedRecords
 		sum.ShippedBytes += st.ShippedBytes
@@ -408,8 +408,7 @@ func init() {
 	expvar.Publish("jitd_pool_resident_pages", expvar.Func(func() interface{} { return poolStats().Resident }))
 	// Replication state over every registered shipper (primary side) and
 	// replica (standby side). The lag gauges are the failover gate: a
-	// standby may be promoted once jitd_repl_lag_records reads 0 under
-	// quiesced traffic.
+	// standby may be promoted once jitd_replication_lag_sessions reads 0.
 	expvar.Publish("jitd_repl_shipper", expvar.Func(func() interface{} {
 		st, any := shipperStats()
 		if !any {

@@ -205,6 +205,11 @@ func (p *persister) quarantine(id, dir string, cause error) bool {
 		return false
 	}
 	metricSessionsQuarantined.Add(1)
+	if p.shipper != nil {
+		// The id is gone from this primary; tell the standby now rather than
+		// at the next handshake diff, so replication lag can return to 0.
+		p.shipper.NoteDelete(id)
+	}
 	p.log().Error("session store corrupt; quarantined",
 		"session_id", id, "quarantine_dir", dest, "err", cause)
 	return true

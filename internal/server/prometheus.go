@@ -63,8 +63,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	if st, any := shipperStats(); any {
 		boolGauge("jitd_replication_connected", "Primary-side replication feed is connected (1 = yes).", st.Connected)
-		gauge("jitd_replication_lag_records", "Replication events queued or shipped but unacknowledged.", st.LagRecords)
-		gauge("jitd_replication_lag_bytes", "Replication bytes queued or shipped but unacknowledged.", st.LagBytes)
+		gauge("jitd_replication_lag_sessions", "Sessions whose standby cursor differs from the primary's (0 = standby current).", st.LagSessions)
+		gauge("jitd_replication_lag_bytes", "WAL bytes the standby lacks, summed over lagging sessions.", st.LagBytes)
 		counter("jitd_replication_shipped_records_total", "Replication frames shipped to the standby.", st.ShippedRecords)
 		counter("jitd_replication_shipped_bytes_total", "Replication payload bytes shipped to the standby.", st.ShippedBytes)
 		counter("jitd_replication_syncs_total", "Full session file sets shipped (create, checkpoint, resync).", st.Syncs)

@@ -129,7 +129,11 @@ func (f *File) Pages() int {
 	return f.npages
 }
 
-// Pin faults page pageNo into the pool and returns it pinned.
+// Pin faults page pageNo into the pool and returns it pinned. A pin guards
+// residency, not contents: the frame stays mapped to the page until Unpin,
+// but the pool does not serialise readers and writers of its bytes. The
+// owning DB's lock does that (shared for reads, exclusive for writes), and
+// page contents may be mutated only while pinned.
 func (f *File) Pin(pageNo int) (*Frame, error) {
 	return f.pool.pin(f, pageNo, nil)
 }

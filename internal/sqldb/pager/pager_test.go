@@ -274,7 +274,9 @@ func TestClosedFileRejectsReads(t *testing.T) {
 // hammer pages through a pool far smaller than the working set (every pin is
 // a potential fault racing another frame's eviction), a writer keeps
 // re-dirtying pages, and an evictor cycles the whole pool. Every read must
-// observe exactly the content the page was last stamped with.
+// observe exactly the content the page was last stamped with. Pins guard
+// residency only, so each file carries the lock its owning DB would hold:
+// shared by readers, exclusive for the writer.
 func TestConcurrentPinUnpinFault(t *testing.T) {
 	pool := NewPool(4)
 	const npages = 32
@@ -283,6 +285,7 @@ func TestConcurrentPinUnpinFault(t *testing.T) {
 	fb := newStampedFile(t, pool, "fb", npages)
 	defer fa.Close()
 	defer fb.Close()
+	var faMu, fbMu sync.RWMutex
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
@@ -292,25 +295,31 @@ func TestConcurrentPinUnpinFault(t *testing.T) {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(int64(g)))
 			for i := 0; i < 400; i++ {
-				f, tag := fa, "fa"
+				f, mu, tag := fa, &faMu, "fa"
 				if r.Intn(2) == 0 {
-					f, tag = fb, "fb"
+					f, mu, tag = fb, &fbMu, "fb"
 				}
 				pageNo := r.Intn(npages)
+				mu.RLock()
 				fr, err := f.Pin(pageNo)
 				if err != nil {
+					mu.RUnlock()
 					if errors.Is(err, ErrNoFrames) {
 						continue // transient full pool under 8 concurrent pins
 					}
 					errs <- err
 					return
 				}
+				var bad error
 				if got, want := PageRecord(fr.Data(), 0), pageStamp(tag, pageNo); !bytes.Equal(got, want) {
-					errs <- fmt.Errorf("%s page %d: read %q", tag, pageNo, got)
-					fr.Unpin()
-					return
+					bad = fmt.Errorf("%s page %d: read %q", tag, pageNo, got)
 				}
 				fr.Unpin()
+				mu.RUnlock()
+				if bad != nil {
+					errs <- bad
+					return
+				}
 			}
 		}(g)
 	}
@@ -321,8 +330,10 @@ func TestConcurrentPinUnpinFault(t *testing.T) {
 		r := rand.New(rand.NewSource(99))
 		for i := 0; i < 200; i++ {
 			pageNo := r.Intn(npages)
+			faMu.Lock()
 			fr, err := fa.Pin(pageNo)
 			if err != nil {
+				faMu.Unlock()
 				if errors.Is(err, ErrNoFrames) {
 					continue
 				}
@@ -331,6 +342,7 @@ func TestConcurrentPinUnpinFault(t *testing.T) {
 			}
 			stampFrame(fr, "fa", pageNo) // same bytes, but dirties the frame
 			fr.Unpin()
+			faMu.Unlock()
 		}
 	}()
 	// Evictor: forces fault-during-eviction interleavings.

@@ -43,7 +43,8 @@ type frameKey struct {
 }
 
 // Frame is one pool slot. Its buffer is only valid to read or write while
-// the holder has it pinned.
+// the holder has it pinned; concurrent access to the contents is serialised
+// by the owning DB's lock, not by the pin (see File.Pin).
 type Frame struct {
 	pool *Pool
 	buf  []byte
@@ -95,7 +96,8 @@ func (p *Pool) Stats() Stats {
 	return s
 }
 
-// Data returns the frame's page buffer. Valid only while pinned.
+// Data returns the frame's page buffer. Valid only while pinned; reads and
+// writes of it are serialised by the owning DB's lock, not by the pin.
 func (fr *Frame) Data() []byte { return fr.buf }
 
 // MarkDirty records that the holder modified the page; the pool will write
@@ -129,8 +131,12 @@ func (p *Pool) pin(f *File, pageNo int, tk *Tracker) (*Frame, error) {
 	p.mu.Lock()
 	for {
 		if fr, ok := p.table[k]; ok {
-			if fr.loading {
-				p.cond.Wait() // loader broadcasts; on its failure the mapping vanishes and we fault
+			if fr.loading || fr.flushing {
+				// The loader or flusher is using the buffer outside the
+				// owner's lock, so a pin (and a writer behind it) must wait.
+				// Both broadcast; a failed load or a finished eviction
+				// unmaps the frame and we fault.
+				p.cond.Wait()
 				continue
 			}
 			fr.pins++
@@ -219,7 +225,7 @@ func (p *Pool) acquireLocked(tk *Tracker) (*Frame, error) {
 		fr.pins = 1 // reserve: no other evictor may take it
 		if fr.dirty {
 			// Write back with the mapping still in place so a concurrent
-			// pin of the same page hits this (valid) frame instead of
+			// pin of the same page waits for the flush instead of
 			// faulting stale bytes from disk.
 			fr.dirty = false
 			fr.flushing = true
@@ -233,16 +239,12 @@ func (p *Pool) acquireLocked(tk *Tracker) (*Frame, error) {
 			}
 			p.mu.Lock()
 			fr.flushing = false
-			fr.pins--
 			p.cond.Broadcast()
 			if werr != nil {
+				fr.pins = 0
 				fr.dirty = true
 				return nil, werr
 			}
-			if fr.pins > 0 || fr.dirty {
-				continue // re-pinned or re-dirtied through the flush; pick another
-			}
-			fr.pins = 1
 		}
 		if fr.mapped {
 			delete(p.table, fr.key)
@@ -348,7 +350,6 @@ func (p *Pool) EvictAll() error {
 			continue
 		}
 		if fr.dirty {
-			fr.pins = 1
 			fr.dirty = false
 			fr.flushing = true
 			vk := fr.key
@@ -357,14 +358,10 @@ func (p *Pool) EvictAll() error {
 			werr := vk.file.writePage(vk.pageNo, fr.buf)
 			p.mu.Lock()
 			fr.flushing = false
-			fr.pins--
 			p.cond.Broadcast()
 			if werr != nil {
 				fr.dirty = true
 				return werr
-			}
-			if fr.pins > 0 || fr.dirty {
-				continue
 			}
 		}
 		delete(p.table, fr.key)

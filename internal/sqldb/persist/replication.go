@@ -10,9 +10,9 @@
 // Wire protocol: one TCP connection, primary dials the standby. On accept
 // the standby reports its per-session (epoch, WAL size) cursors; the primary
 // diffs that against local disk and ships whatever closes the gap; from then
-// on the stream carries live hook events. Every frame the primary sends
-// carries a sequence number the standby acknowledges after fsync, which is
-// what the primary's replication-lag gauges count down.
+// on the stream carries live hook events. The standby acknowledges every
+// frame after fsync with the session's resulting cursor; the primary's lag is
+// the difference between its own cursors and the acknowledged ones.
 package persist
 
 import (
@@ -40,7 +40,7 @@ const (
 	repDeleteT uint8 = 3 // session removed
 	// standby -> primary
 	repStateT  uint8 = 16 // handshake: per-session cursors
-	repAckT    uint8 = 17 // frames up to seq are applied and durable
+	repAckT    uint8 = 17 // a session's cursor (or absence) after a durable apply
 	repResyncT uint8 = 18 // session cursor mismatch: please ship a full sync
 )
 
@@ -50,12 +50,17 @@ type repFile struct {
 	data []byte
 }
 
-// repCursor is a standby's position in one session: the checkpoint epoch of
-// its snapshot/WAL pair and the record-aligned WAL length it holds.
-type repCursor struct {
-	id      string
-	epoch   uint64
-	walSize int64
+// cursor is a position in one session: the checkpoint epoch of its
+// snapshot/WAL pair and the record-aligned WAL length. Cursors order
+// lexicographically by (epoch, size). Epochs start at 1, so the zero cursor
+// is free to mean "no coherent copy".
+type cursor struct {
+	epoch uint64
+	size  int64
+}
+
+func (c cursor) less(o cursor) bool {
+	return c.epoch < o.epoch || c.epoch == o.epoch && c.size < o.size
 }
 
 // replIDPattern vets session IDs and file names arriving off the wire before
@@ -121,18 +126,36 @@ func scanWAL(path string) (epoch uint64, good int64, ok bool, err error) {
 
 // sessionCursor derives the replication cursor of a session directory: the
 // snapshot's epoch and the length of the coherent same-epoch WAL prefix.
-// ok=false means the directory is not in a shippable/reportable state (mid-
-// create, mid-checkpoint, or damaged) — the peer treats it as absent.
-func sessionCursor(dir string) (epoch uint64, walSize int64, ok bool) {
+// The zero cursor means the directory is not in a shippable/reportable
+// state (mid-create, mid-checkpoint, or damaged) — the peer treats it as
+// absent.
+func sessionCursor(dir string) cursor {
 	snapEpoch, err := readSnapshotEpoch(filepath.Join(dir, SnapshotFile))
 	if err != nil {
-		return 0, 0, false
+		return cursor{}
 	}
 	walEpoch, good, walOK, err := scanWAL(filepath.Join(dir, WALFile))
 	if err != nil || !walOK || walEpoch != snapEpoch {
-		return 0, 0, false
+		return cursor{}
 	}
-	return snapEpoch, good, true
+	return cursor{epoch: snapEpoch, size: good}
+}
+
+// scanSessions maps every session directory under root to its cursor; the
+// zero cursor marks one not in a coherent state. A missing root holds no
+// sessions.
+func scanSessions(root string) (map[string]cursor, error) {
+	entries, err := os.ReadDir(root)
+	if err != nil && !os.IsNotExist(err) {
+		return nil, err
+	}
+	out := make(map[string]cursor, len(entries))
+	for _, e := range entries {
+		if e.IsDir() && replSafeName(e.Name()) {
+			out[e.Name()] = sessionCursor(filepath.Join(root, e.Name()))
+		}
+	}
+	return out, nil
 }
 
 // readSessionFiles reads a session's complete durable file set for a sync
@@ -140,17 +163,17 @@ func sessionCursor(dir string) (epoch uint64, walSize int64, ok bool) {
 // (a checkpoint can land between reads). Volatile files (*.tmp, spill-*.db)
 // are excluded: the spill regenerates from the WAL and temp files are
 // atomic-write leftovers.
-func readSessionFiles(dir string) (files []repFile, epoch uint64, walSize int64, err error) {
+func readSessionFiles(dir string) (files []repFile, err error) {
 	for attempt := 0; attempt < 3; attempt++ {
 		files = files[:0]
-		epoch, walSize, ok := sessionCursor(dir)
-		if !ok {
+		c := sessionCursor(dir)
+		if c == (cursor{}) {
 			err = fmt.Errorf("persist: session %s not in a coherent state", dir)
 			continue
 		}
 		entries, rerr := os.ReadDir(dir)
 		if rerr != nil {
-			return nil, 0, 0, rerr
+			return nil, rerr
 		}
 		coherent := true
 		for _, e := range entries {
@@ -163,8 +186,8 @@ func readSessionFiles(dir string) (files []repFile, epoch uint64, walSize int64,
 				coherent = false
 				break
 			}
-			if name == WALFile && int64(len(data)) > walSize {
-				data = data[:walSize] // drop bytes appended mid-read; the stream ships them
+			if name == WALFile && int64(len(data)) > c.size {
+				data = data[:c.size] // drop bytes appended mid-read; the stream ships them
 			}
 			files = append(files, repFile{name: name, data: data})
 		}
@@ -174,20 +197,19 @@ func readSessionFiles(dir string) (files []repFile, epoch uint64, walSize int64,
 		}
 		// Re-check: if a checkpoint landed while we read, the epoch moved and
 		// the set may mix generations.
-		if e2, _, ok2 := sessionCursor(dir); ok2 && e2 == epoch {
-			return files, epoch, walSize, nil
+		if sessionCursor(dir).epoch == c.epoch {
+			return files, nil
 		}
 		err = fmt.Errorf("persist: session %s checkpointed mid-read", dir)
 	}
-	return nil, 0, 0, err
+	return nil, err
 }
 
 // ---- frame encode/decode -------------------------------------------------
 
-func encodeSync(seq uint64, id string, files []repFile) []byte {
+func encodeSync(id string, files []repFile) []byte {
 	e := &enc{}
 	e.u8(repSyncT)
-	e.u64(seq)
 	e.str(id)
 	e.u32(uint32(len(files)))
 	for _, f := range files {
@@ -197,10 +219,9 @@ func encodeSync(seq uint64, id string, files []repFile) []byte {
 	return e.buf
 }
 
-func encodeAppend(seq uint64, id string, epoch uint64, off int64, data []byte) []byte {
+func encodeAppend(id string, epoch uint64, off int64, data []byte) []byte {
 	e := &enc{}
 	e.u8(repAppendT)
-	e.u64(seq)
 	e.str(id)
 	e.u64(epoch)
 	e.u64(uint64(off))
@@ -208,30 +229,33 @@ func encodeAppend(seq uint64, id string, epoch uint64, off int64, data []byte) [
 	return e.buf
 }
 
-func encodeDelete(seq uint64, id string) []byte {
+func encodeDelete(id string) []byte {
 	e := &enc{}
 	e.u8(repDeleteT)
-	e.u64(seq)
 	e.str(id)
 	return e.buf
 }
 
-func encodeState(cursors []repCursor) []byte {
+func encodeState(cursors map[string]cursor) []byte {
 	e := &enc{}
 	e.u8(repStateT)
 	e.u32(uint32(len(cursors)))
-	for _, c := range cursors {
-		e.str(c.id)
+	for id, c := range cursors {
+		e.str(id)
 		e.u64(c.epoch)
-		e.u64(uint64(c.walSize))
+		e.u64(uint64(c.size))
 	}
 	return e.buf
 }
 
-func encodeAck(seq uint64) []byte {
+// encodeAck reports session id's cursor after an apply; the zero cursor
+// means the standby holds no coherent copy (deleted, or awaiting a resync).
+func encodeAck(id string, c cursor) []byte {
 	e := &enc{}
 	e.u8(repAckT)
-	e.u64(seq)
+	e.str(id)
+	e.u64(c.epoch)
+	e.u64(uint64(c.size))
 	return e.buf
 }
 
@@ -257,9 +281,8 @@ type ReplicaStats struct {
 // replicaSession is the replica's open handle on one session's WAL plus its
 // cursor.
 type replicaSession struct {
-	f     *os.File
-	epoch uint64
-	size  int64
+	f *os.File
+	cursor
 }
 
 // Replica receives a primary's WAL stream and replays it into a local tree
@@ -400,18 +423,22 @@ func (r *Replica) handleConn(conn net.Conn) {
 			r.logger.Info("replica: feed closed", "err", err)
 			return
 		}
-		seq, resyncID, err := r.applyFrame(payload)
+		id, resync, err := r.applyFrame(payload)
 		if err != nil {
 			r.logger.Error("replica: apply failed", "err", err)
 			return
 		}
-		if resyncID != "" {
+		if resync {
 			r.resyncsSent.Add(1)
-			if _, err := writeFrame(conn, encodeResync(resyncID)); err != nil {
+			if _, err := writeFrame(conn, encodeResync(id)); err != nil {
 				return
 			}
 		}
-		if _, err := writeFrame(conn, encodeAck(seq)); err != nil {
+		var c cursor
+		if s, err := r.openSession(id); err == nil {
+			c = s.cursor
+		}
+		if _, err := writeFrame(conn, encodeAck(id, c)); err != nil {
 			return
 		}
 	}
@@ -420,7 +447,7 @@ func (r *Replica) handleConn(conn net.Conn) {
 // localCursors scans the replica root and reports every session in a
 // coherent state, truncating torn WAL tails so the reported size is exact.
 // Open handles are dropped first — the scan re-derives state from disk.
-func (r *Replica) localCursors() []repCursor {
+func (r *Replica) localCursors() map[string]cursor {
 	r.mu.Lock()
 	for id, s := range r.sessions {
 		if s.f != nil {
@@ -430,42 +457,33 @@ func (r *Replica) localCursors() []repCursor {
 	}
 	r.mu.Unlock()
 
-	entries, err := os.ReadDir(r.root)
-	if err != nil {
-		return nil
-	}
-	var out []repCursor
-	for _, e := range entries {
-		if !e.IsDir() || !replSafeName(e.Name()) {
-			continue
-		}
-		dir := filepath.Join(r.root, e.Name())
-		epoch, size, ok := sessionCursor(dir)
-		if !ok {
+	cursors, _ := scanSessions(r.root)
+	for id, c := range cursors {
+		if c == (cursor{}) {
+			delete(cursors, id)
 			continue
 		}
 		// Truncate any torn tail now so offset arithmetic stays exact.
-		walPath := filepath.Join(dir, WALFile)
-		if fi, err := os.Stat(walPath); err == nil && fi.Size() > size {
-			_ = os.Truncate(walPath, size)
+		walPath := filepath.Join(r.root, id, WALFile)
+		if fi, err := os.Stat(walPath); err == nil && fi.Size() > c.size {
+			_ = os.Truncate(walPath, c.size)
 		}
-		out = append(out, repCursor{id: e.Name(), epoch: epoch, walSize: size})
 	}
-	return out
+	return cursors
 }
 
 // applyFrame decodes and applies one primary frame. It returns the frame's
-// sequence number (to acknowledge) and, when the cursor did not line up, the
-// session ID to request a resync for. Only malformed frames error.
-func (r *Replica) applyFrame(payload []byte) (seq uint64, resyncID string, err error) {
+// session ID (to acknowledge) and whether the cursor did not line up, so
+// the session needs a resync. Only malformed frames error.
+func (r *Replica) applyFrame(payload []byte) (id string, resync bool, err error) {
 	d := &dec{buf: payload}
-	switch typ := d.u8(); typ {
+	typ := d.u8()
+	id = d.str()
+	switch typ {
 	case repSyncT:
-		seq = d.u64()
-		id := d.str()
 		n := int(d.u32())
 		if d.err != nil || n > 1<<16 {
-			return 0, "", fmt.Errorf("malformed sync frame")
+			return "", false, fmt.Errorf("malformed sync frame")
 		}
 		files := make([]repFile, 0, n)
 		for i := 0; i < n && d.err == nil; i++ {
@@ -473,37 +491,27 @@ func (r *Replica) applyFrame(payload []byte) (seq uint64, resyncID string, err e
 			data := d.bytes()
 			files = append(files, repFile{name: name, data: data})
 		}
-		if d.err != nil {
-			return 0, "", d.err
+		if d.err == nil {
+			err = r.applySync(id, files)
 		}
-		return seq, "", r.applySync(id, files)
 	case repAppendT:
-		seq = d.u64()
-		id := d.str()
 		epoch := d.u64()
 		off := int64(d.u64())
 		data := d.bytes()
-		if d.err != nil {
-			return 0, "", d.err
+		if d.err == nil {
+			resync, err = r.applyAppend(id, epoch, off, data)
 		}
-		resync, err := r.applyAppend(id, epoch, off, data)
-		if err != nil {
-			return 0, "", err
-		}
-		if resync {
-			return seq, id, nil
-		}
-		return seq, "", nil
 	case repDeleteT:
-		seq = d.u64()
-		id := d.str()
-		if d.err != nil {
-			return 0, "", d.err
+		if d.err == nil {
+			err = r.applyDelete(id)
 		}
-		return seq, "", r.applyDelete(id)
 	default:
-		return 0, "", fmt.Errorf("unknown replication frame type %d", typ)
+		return "", false, fmt.Errorf("unknown replication frame type %d", typ)
 	}
+	if d.err != nil {
+		return "", false, d.err
+	}
+	return id, resync, err
 }
 
 // applySync replaces a session directory with the shipped file set. Files
@@ -631,15 +639,15 @@ func (r *Replica) openSession(id string) (*replicaSession, error) {
 		return s, nil
 	}
 	dir := filepath.Join(r.root, id)
-	epoch, size, ok := sessionCursor(dir)
-	if !ok {
+	c := sessionCursor(dir)
+	if c == (cursor{}) {
 		return nil, fmt.Errorf("session %s not in a coherent state", id)
 	}
 	f, err := os.OpenFile(filepath.Join(dir, WALFile), os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	s := &replicaSession{f: f, epoch: epoch, size: size}
+	s := &replicaSession{f: f, cursor: c}
 	r.sessions[id] = s
 	return s, nil
 }

@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
@@ -26,14 +27,14 @@ func startReplica(t *testing.T) (*Replica, string) {
 	return r, ln.Addr().String()
 }
 
-// waitLagZero polls until the shipper is connected with zero lag — the
-// quiesced steady state — or fails the test.
+// waitLagZero polls until the shipper is connected with zero lag — every
+// standby cursor equals the primary's — or fails the test.
 func waitLagZero(t *testing.T, s *Shipper) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		st := s.Stats()
-		if st.Connected && st.LagRecords == 0 && st.LagBytes == 0 {
+		if st.Connected && st.LagSessions == 0 && st.LagBytes == 0 {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -54,9 +55,17 @@ func readFileT(t *testing.T, path string) []byte {
 // byte-identical file for file (the physical-replication contract).
 func sameSessionFiles(t *testing.T, primaryDir, replicaDir string) {
 	t.Helper()
+	if err := diffSessionFiles(primaryDir, replicaDir); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// diffSessionFiles reports the first durable file of a session whose
+// primary and replica copies differ, or nil when they are byte-identical.
+func diffSessionFiles(primaryDir, replicaDir string) error {
 	entries, err := os.ReadDir(primaryDir)
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
 	for _, e := range entries {
 		if e.IsDir() {
@@ -66,12 +75,19 @@ func sameSessionFiles(t *testing.T, primaryDir, replicaDir string) {
 		if filepath.Ext(name) == ".tmp" || len(name) > 6 && name[:6] == "spill-" {
 			continue
 		}
-		p := readFileT(t, filepath.Join(primaryDir, name))
-		r := readFileT(t, filepath.Join(replicaDir, name))
+		p, err := os.ReadFile(filepath.Join(primaryDir, name))
+		if err != nil {
+			return err
+		}
+		r, err := os.ReadFile(filepath.Join(replicaDir, name))
+		if err != nil {
+			return err
+		}
 		if !bytes.Equal(p, r) {
-			t.Fatalf("file %s differs: primary %d bytes, replica %d bytes", name, len(p), len(r))
+			return fmt.Errorf("file %s differs: primary %d bytes, replica %d bytes", name, len(p), len(r))
 		}
 	}
+	return nil
 }
 
 // TestReplicationStreamsAndLagDrains covers the happy path end to end:
@@ -333,5 +349,29 @@ func TestReplicaDeleteAndDiffDelete(t *testing.T) {
 	waitLagZero(t, ship)
 	if _, err := os.Stat(filepath.Join(replica.Root(), id)); !os.IsNotExist(err) {
 		t.Fatalf("replica still holds deleted session: %v", err)
+	}
+}
+
+// TestShipperReplyFrames pins the ack wire format: an ack sets or clears
+// the standby cursor, and a truncated ack or an unknown frame type is an
+// error (the reader drops the connection on it) that moves no cursor.
+func TestShipperReplyFrames(t *testing.T) {
+	s := &Shipper{acked: make(map[string]cursor)}
+	c := cursor{epoch: 2, size: 99}
+	ack := encodeAck("s1", c)
+	if err := s.handleReply(ack); err != nil || s.acked["s1"] != c {
+		t.Fatalf("ack: err=%v acked=%v", err, s.acked)
+	}
+	if err := s.handleReply(encodeAck("s1", cursor{})); err != nil || len(s.acked) != 0 {
+		t.Fatalf("absent ack: err=%v acked=%v", err, s.acked)
+	}
+	if err := s.handleReply(ack[:len(ack)-1]); err == nil || len(s.acked) != 0 {
+		t.Fatalf("truncated ack: err=%v acked=%v", err, s.acked)
+	}
+	if err := s.handleReply(encodeResync("s1")[:3]); err == nil {
+		t.Fatal("truncated resync accepted")
+	}
+	if err := s.handleReply([]byte{99, 0, 0, 0, 0}); err == nil {
+		t.Fatal("unknown frame type accepted")
 	}
 }

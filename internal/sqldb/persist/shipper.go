@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"log/slog"
+	"maps"
 	"net"
 	"os"
 	"path/filepath"
@@ -38,20 +39,14 @@ type shipEvent struct {
 	data  []byte
 }
 
-// outstanding is one sent-but-unacknowledged frame's contribution to lag.
-type outstanding struct {
-	seq     uint64
-	records int64
-	bytes   int64
-}
-
 // ShipperStats is a point-in-time snapshot of a shipper's counters. Lag
-// counts events queued plus sent-but-unacknowledged; it is meaningful while
-// Connected (when disconnected the handshake diff owns catch-up and the
-// queue is empty by construction).
+// compares each session's cursor on the primary with the standby's last
+// acknowledged cursor: LagSessions counts the sessions where they differ
+// (deleted-but-still-on-the-standby included), LagBytes sums the WAL bytes
+// still to ship. Both read 0 exactly when the standby is current.
 type ShipperStats struct {
 	Connected      bool  `json:"connected"`
-	LagRecords     int64 `json:"lag_records"`
+	LagSessions    int64 `json:"lag_sessions"`
 	LagBytes       int64 `json:"lag_bytes"`
 	ShippedRecords int64 `json:"shipped_records"`
 	ShippedBytes   int64 `json:"shipped_bytes"`
@@ -65,9 +60,11 @@ type ShipperStats struct {
 // Shipper streams a primary's session tree to a warm standby. Hook events
 // (NoteAppend / NoteSync / NoteDelete) enqueue; a background loop dials the
 // standby, diffs the standby's reported cursors against local disk, ships
-// the delta, then drains the queue. Acknowledgements retire events from the
-// lag gauges. All failure handling converges on one move: drop the
-// connection and re-handshake.
+// the delta, then drains the queue. Lag is the difference between two
+// cursor maps: head (the primary's sessions, moved by the hooks) and acked
+// (the standby's sessions, reported by the handshake and by every ack). All
+// failure handling converges on one move: drop the connection and
+// re-handshake.
 type Shipper struct {
 	root   string // sessions tree root
 	target string // standby replication listener host:port
@@ -92,15 +89,9 @@ type Shipper struct {
 	accepting   bool // hook events enqueue only while a connection is being fed
 	overflowed  bool
 	closed      bool
-	out         []outstanding // FIFO, retired by acks
-	outRecords  int64
-	outBytes    int64
-	// inFlight covers the window between dequeue and the outstanding ledger,
-	// so lag never transiently dips while a frame is being encoded.
-	inFlightRecords int64
-	inFlightBytes   int64
+	head        map[string]cursor // primary's cursors; each moves only forward
+	acked       map[string]cursor // standby's cursors as last reported
 
-	seq       atomic.Uint64
 	connected atomic.Bool
 	shippedR  atomic.Int64
 	shippedB  atomic.Int64
@@ -133,6 +124,11 @@ func NewShipperDialer(root, target string, logger *slog.Logger, dial DialFunc) *
 	if dial == nil {
 		dial = net.DialTimeout
 	}
+	head, err := scanSessions(root)
+	if err != nil {
+		logger.Error("shipper: scan sessions", "err", err)
+		head = make(map[string]cursor)
+	}
 	s := &Shipper{
 		root:           root,
 		target:         target,
@@ -142,6 +138,7 @@ func NewShipperDialer(root, target string, logger *slog.Logger, dial DialFunc) *
 		dial:           dial,
 		maxQueueEvents: shipMaxQueueEvents,
 		maxQueueBytes:  shipMaxQueueBytes,
+		head:           head,
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.wg.Add(1)
@@ -158,12 +155,11 @@ func (s *Shipper) Target() string { return s.target }
 // Stats returns the shipper's counters and current lag.
 func (s *Shipper) Stats() ShipperStats {
 	s.mu.Lock()
-	lagR := int64(len(s.queue)) + s.inFlightRecords + s.outRecords
-	lagB := s.queuedBytes + s.inFlightBytes + s.outBytes
+	lagS, lagB := s.lagLocked()
 	s.mu.Unlock()
 	return ShipperStats{
 		Connected:      s.connected.Load(),
-		LagRecords:     lagR,
+		LagSessions:    lagS,
 		LagBytes:       lagB,
 		ShippedRecords: s.shippedR.Load(),
 		ShippedBytes:   s.shippedB.Load(),
@@ -175,41 +171,60 @@ func (s *Shipper) Stats() ShipperStats {
 	}
 }
 
+// lagLocked compares head with acked. A session behind on the same epoch
+// lags by the missing WAL bytes; one absent from the standby, at another
+// epoch, or (after a primary-side truncation) ahead, lags by its whole WAL;
+// one the standby holds but the primary deleted lags by 0 bytes.
+func (s *Shipper) lagLocked() (sessions, bytes int64) {
+	for id, h := range s.head {
+		if a := s.acked[id]; a != h {
+			sessions++
+			if a.epoch == h.epoch && a.size < h.size {
+				bytes += h.size - a.size
+			} else {
+				bytes += h.size
+			}
+		}
+	}
+	for id := range s.acked {
+		if _, ok := s.head[id]; !ok {
+			sessions++
+		}
+	}
+	return sessions, bytes
+}
+
 // OnAppend returns the per-session Options.OnAppend hook for session id.
-// It runs under the WAL's lock, so it only copies the event into the queue.
+// It runs under the WAL's lock, so it only moves the cursor and copies the
+// event into the queue.
 func (s *Shipper) OnAppend(id string) func(epoch uint64, off int64, frame []byte) {
 	return func(epoch uint64, off int64, frame []byte) {
-		s.enqueue(shipEvent{kind: shipAppend, id: id, epoch: epoch, off: off, data: frame})
+		s.enqueue(shipEvent{kind: shipAppend, id: id, epoch: epoch, off: off, data: frame},
+			cursor{epoch: epoch, size: off + int64(len(frame))})
 	}
 }
 
 // NoteSync asks the shipper to ship session id's full file set (call after
 // create and after checkpoints — the moments the file set changes shape).
 func (s *Shipper) NoteSync(id string) {
-	s.enqueue(shipEvent{kind: shipSync, id: id})
+	s.enqueue(shipEvent{kind: shipSync, id: id}, sessionCursor(filepath.Join(s.root, id)))
 }
 
 // NoteDelete asks the shipper to remove session id from the standby.
 func (s *Shipper) NoteDelete(id string) {
-	s.enqueue(shipEvent{kind: shipDelete, id: id})
+	s.enqueue(shipEvent{kind: shipDelete, id: id}, cursor{})
 }
 
-// Close stops the shipper after attempting to drain queued and unacked
-// events for up to drain. Returns true if fully drained.
+// Close stops the shipper after waiting up to drain for a connected standby
+// to catch up (zero lag); with no live feed it does not wait. Returns true if
+// the standby caught up.
 func (s *Shipper) Close(drain time.Duration) bool {
 	deadline := time.Now().Add(drain)
 	drained := false
-	for time.Now().Before(deadline) {
-		s.mu.Lock()
-		empty := len(s.queue) == 0 && s.inFlightRecords == 0 && s.outRecords == 0
-		connected := s.connected.Load()
-		s.mu.Unlock()
-		if empty && connected {
+	for time.Now().Before(deadline) && s.connected.Load() {
+		if st := s.Stats(); st.LagSessions == 0 {
 			drained = true
 			break
-		}
-		if !connected {
-			break // no standby to drain to; don't burn the timeout
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -221,12 +236,19 @@ func (s *Shipper) Close(drain time.Duration) bool {
 	return drained
 }
 
-// enqueue adds a hook event while a connection is live; outside that window
+// enqueue first moves the event's session cursor on the primary: out of
+// head on a delete, otherwise forward to c (the zero cursor moves nothing).
+// It then queues the event while a connection is live; outside that window
 // the handshake diff owns catch-up, so the event is dropped. Overflow trips
 // the connection instead of growing without bound.
-func (s *Shipper) enqueue(ev shipEvent) {
+func (s *Shipper) enqueue(ev shipEvent, c cursor) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if ev.kind == shipDelete {
+		delete(s.head, ev.id)
+	} else if s.head[ev.id].less(c) {
+		s.head[ev.id] = c
+	}
 	if !s.accepting || s.closed || s.overflowed {
 		return
 	}
@@ -267,9 +289,6 @@ func (s *Shipper) run() {
 		s.accepting = false
 		s.queue = nil
 		s.queuedBytes = 0
-		s.out = nil
-		s.outRecords, s.outBytes = 0, 0
-		s.inFlightRecords, s.inFlightBytes = 0, 0
 		s.overflowed = false
 		s.mu.Unlock()
 	}
@@ -310,16 +329,15 @@ func (s *Shipper) feed(conn net.Conn) {
 		return
 	}
 	s.accepting = true
-	s.queue = nil
-	s.queuedBytes = 0
-	s.overflowed = false
+	s.acked = maps.Clone(standby)
 	s.mu.Unlock()
 	s.connected.Store(true)
 	s.retry.Reset() // the link works; future redials start from the base delay
 	s.logger.Info("shipper: connected", "target", s.target, "standby_sessions", len(standby))
 
-	// Ack reader: retires outstanding frames, turns resync requests into
-	// queued sync events, and wakes the sender on connection death.
+	// Reply reader: moves the standby cursors on acks, turns resync
+	// requests into queued sync events, and on connection death or a bad
+	// frame drops the connection and wakes the sender.
 	done := make(chan struct{})
 	var readerErr atomic.Bool
 	s.wg.Add(1)
@@ -328,23 +346,18 @@ func (s *Shipper) feed(conn net.Conn) {
 		defer close(done)
 		for {
 			payload, err := readFrame(br)
+			if err == nil {
+				if err = s.handleReply(payload); err != nil {
+					s.logger.Error("shipper: bad standby frame", "err", err)
+				}
+			}
 			if err != nil {
 				readerErr.Store(true)
+				conn.Close()
 				s.mu.Lock()
 				s.cond.Broadcast()
 				s.mu.Unlock()
 				return
-			}
-			d := &dec{buf: payload}
-			switch typ := d.u8(); typ {
-			case repAckT:
-				s.ackUpTo(d.u64())
-			case repResyncT:
-				id := d.str()
-				if d.err == nil {
-					s.resyncs.Add(1)
-					s.enqueue(shipEvent{kind: shipSync, id: id})
-				}
 			}
 		}
 	}()
@@ -368,15 +381,8 @@ func (s *Shipper) feed(conn net.Conn) {
 		ev := s.queue[0]
 		s.queue = s.queue[1:]
 		s.queuedBytes -= int64(len(ev.data))
-		s.inFlightRecords++
-		s.inFlightBytes += int64(len(ev.data))
 		s.mu.Unlock()
-		err := s.shipEvent(conn, ev)
-		s.mu.Lock()
-		s.inFlightRecords--
-		s.inFlightBytes -= int64(len(ev.data))
-		s.mu.Unlock()
-		if err != nil {
+		if err := s.shipEvent(conn, ev); err != nil {
 			s.logger.Info("shipper: send failed", "err", err)
 			break
 		}
@@ -385,56 +391,76 @@ func (s *Shipper) feed(conn net.Conn) {
 	<-done
 }
 
+// handleReply applies one standby frame: an ack sets the session's standby
+// cursor (or clears it when the standby no longer holds the session), a
+// resync request queues a full sync. An undecodable frame is an error.
+func (s *Shipper) handleReply(payload []byte) error {
+	d := &dec{buf: payload}
+	typ := d.u8()
+	id := d.str()
+	switch typ {
+	case repAckT:
+		c := cursor{epoch: d.u64(), size: int64(d.u64())}
+		if d.err != nil {
+			return d.err
+		}
+		s.mu.Lock()
+		if c == (cursor{}) {
+			delete(s.acked, id)
+		} else {
+			s.acked[id] = c
+		}
+		s.mu.Unlock()
+	case repResyncT:
+		if d.err != nil {
+			return d.err
+		}
+		s.resyncs.Add(1)
+		s.enqueue(shipEvent{kind: shipSync, id: id}, cursor{})
+	default:
+		return fmt.Errorf("persist: unknown standby frame type %d", typ)
+	}
+	return nil
+}
+
 // shipDiff reconciles the standby against local disk: sessions it lacks or
 // holds at another epoch get a full sync, sessions behind on the same epoch
 // get the missing WAL byte range, sessions it holds that no longer exist
 // locally get a delete.
-func (s *Shipper) shipDiff(conn net.Conn, standby []repCursor) error {
-	byID := make(map[string]repCursor, len(standby))
-	for _, c := range standby {
-		byID[c.id] = c
-	}
-	entries, err := os.ReadDir(s.root)
-	if err != nil && !os.IsNotExist(err) {
+func (s *Shipper) shipDiff(conn net.Conn, standby map[string]cursor) error {
+	local, err := scanSessions(s.root)
+	if err != nil {
 		return err
 	}
-	local := make(map[string]bool, len(entries))
-	for _, e := range entries {
-		if !e.IsDir() || !replSafeName(e.Name()) {
-			continue
-		}
-		id := e.Name()
-		local[id] = true
-		dir := filepath.Join(s.root, id)
-		epoch, size, ok := sessionCursor(dir)
-		if !ok {
+	for id, c := range local {
+		if c == (cursor{}) {
 			continue // mid-create; its NoteSync will queue behind us
 		}
-		sb, have := byID[id]
+		sb, have := standby[id]
 		switch {
-		case !have || sb.epoch != epoch || sb.walSize > size:
+		case !have || sb.epoch != c.epoch || sb.size > c.size:
 			if err := s.sendSync(conn, id); err != nil {
 				return err
 			}
-		case sb.walSize < size:
-			delta := make([]byte, size-sb.walSize)
-			f, err := os.Open(filepath.Join(dir, WALFile))
+		case sb.size < c.size:
+			delta := make([]byte, c.size-sb.size)
+			f, err := os.Open(filepath.Join(s.root, id, WALFile))
 			if err != nil {
 				return err
 			}
-			_, rerr := f.ReadAt(delta, sb.walSize)
+			_, rerr := f.ReadAt(delta, sb.size)
 			f.Close()
 			if rerr != nil {
 				return rerr
 			}
-			if err := s.sendAppend(conn, id, epoch, sb.walSize, delta); err != nil {
+			if err := s.sendAppend(conn, id, c.epoch, sb.size, delta); err != nil {
 				return err
 			}
 		}
 	}
-	for _, c := range standby {
-		if !local[c.id] {
-			if err := s.sendDelete(conn, c.id); err != nil {
+	for id := range standby {
+		if _, ok := local[id]; !ok {
+			if err := s.sendDelete(conn, id); err != nil {
 				return err
 			}
 		}
@@ -456,17 +482,15 @@ func (s *Shipper) shipEvent(conn net.Conn, ev shipEvent) error {
 }
 
 func (s *Shipper) sendSync(conn net.Conn, id string) error {
-	files, _, _, err := readSessionFiles(filepath.Join(s.root, id))
+	files, err := readSessionFiles(filepath.Join(s.root, id))
 	if err != nil {
 		// The session vanished or won't settle; a later event (delete or the
 		// standby's next resync) resolves it. Not a connection error.
 		s.logger.Info("shipper: sync skipped", "session", id, "err", err)
 		return nil
 	}
-	seq := s.seq.Add(1)
 	n := int64(syncBytes(files))
-	s.addOutstanding(seq, 1, n)
-	if _, err := writeFrame(conn, encodeSync(seq, id, files)); err != nil {
+	if _, err := writeFrame(conn, encodeSync(id, files)); err != nil {
 		return err
 	}
 	s.syncs.Add(1)
@@ -476,9 +500,7 @@ func (s *Shipper) sendSync(conn net.Conn, id string) error {
 }
 
 func (s *Shipper) sendAppend(conn net.Conn, id string, epoch uint64, off int64, data []byte) error {
-	seq := s.seq.Add(1)
-	s.addOutstanding(seq, 1, int64(len(data)))
-	if _, err := writeFrame(conn, encodeAppend(seq, id, epoch, off, data)); err != nil {
+	if _, err := writeFrame(conn, encodeAppend(id, epoch, off, data)); err != nil {
 		return err
 	}
 	s.shippedR.Add(1)
@@ -487,9 +509,7 @@ func (s *Shipper) sendAppend(conn net.Conn, id string, epoch uint64, off int64, 
 }
 
 func (s *Shipper) sendDelete(conn net.Conn, id string) error {
-	seq := s.seq.Add(1)
-	s.addOutstanding(seq, 1, 0)
-	if _, err := writeFrame(conn, encodeDelete(seq, id)); err != nil {
+	if _, err := writeFrame(conn, encodeDelete(id)); err != nil {
 		return err
 	}
 	s.deletes.Add(1)
@@ -497,27 +517,8 @@ func (s *Shipper) sendDelete(conn net.Conn, id string) error {
 	return nil
 }
 
-func (s *Shipper) addOutstanding(seq uint64, records, bytes int64) {
-	s.mu.Lock()
-	s.out = append(s.out, outstanding{seq: seq, records: records, bytes: bytes})
-	s.outRecords += records
-	s.outBytes += bytes
-	s.mu.Unlock()
-}
-
-// ackUpTo retires every outstanding frame with sequence <= seq.
-func (s *Shipper) ackUpTo(seq uint64) {
-	s.mu.Lock()
-	for len(s.out) > 0 && s.out[0].seq <= seq {
-		s.outRecords -= s.out[0].records
-		s.outBytes -= s.out[0].bytes
-		s.out = s.out[1:]
-	}
-	s.mu.Unlock()
-}
-
 // decodeState parses the standby's handshake frame.
-func decodeState(payload []byte) ([]repCursor, error) {
+func decodeState(payload []byte) (map[string]cursor, error) {
 	d := &dec{buf: payload}
 	if typ := d.u8(); typ != repStateT {
 		return nil, fmt.Errorf("persist: expected state frame, got type %d", typ)
@@ -526,12 +527,12 @@ func decodeState(payload []byte) ([]repCursor, error) {
 	if d.err != nil || n > 1<<20 {
 		return nil, fmt.Errorf("persist: malformed state frame")
 	}
-	out := make([]repCursor, 0, n)
+	out := make(map[string]cursor, n)
 	for i := 0; i < n && d.err == nil; i++ {
 		id := d.str()
 		epoch := d.u64()
 		size := int64(d.u64())
-		out = append(out, repCursor{id: id, epoch: epoch, walSize: size})
+		out[id] = cursor{epoch: epoch, size: size}
 	}
 	if d.err != nil {
 		return nil, d.err

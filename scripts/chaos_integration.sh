@@ -256,7 +256,7 @@ for i in 0 1 2; do
 done
 [ -n "$STORMED" ] || fail "phase C: no primary recorded an injected network fault"
 for i in 0 1 2; do
-  wait_metric "http://127.0.0.1:${API_PORTS[$i]}" '^jitd_replication_lag_records 0$' \
+  wait_metric "http://127.0.0.1:${API_PORTS[$i]}" '^jitd_replication_lag_sessions 0$' \
     "phase C: shard ${NAMES[$i]} never drained its replication lag through the storm"
 done
 

@@ -2,7 +2,8 @@
 # Kill-a-shard failover check for the cluster layer: a 3-shard jitd cluster
 # with a warm standby per shard behind one jitrouter. Sessions are created
 # through the router on every shard and their answers recorded; replication
-# lag is asserted drained (jitd_replication_lag_records 0) on every primary;
+# lag is asserted drained on every primary (jitd_replication_lag_sessions 0:
+# every session's standby cursor equals the primary's);
 # then one primary is killed with SIGKILL. The router must answer 503 (not
 # hang) for the dead shard while unrelated shards keep answering, the standby
 # is promoted via POST /admin/promote, the shard map is re-pointed and
@@ -140,7 +141,7 @@ echo "== asserting replication lag is drained on every primary =="
 for i in 0 1 2; do
   ok=""
   for _ in $(seq 1 100); do
-    if curl -sf "http://127.0.0.1:${API_PORTS[$i]}/metrics" | grep -q '^jitd_replication_lag_records 0$'; then
+    if curl -sf "http://127.0.0.1:${API_PORTS[$i]}/metrics" | grep -q '^jitd_replication_lag_sessions 0$'; then
       ok=1; break
     fi
     sleep 0.2
