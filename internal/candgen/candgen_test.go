@@ -281,21 +281,18 @@ func TestDeterminism(t *testing.T) {
 	model := trainedForest(t)
 	p := Problem{Schema: schema, Model: model, Threshold: 0.5, Input: []float64{30, 30}, Constraints: constraints.NewSet()}
 	cfg := DefaultConfig()
-	a, _, err := Generate(p, cfg)
+	a, sa, err := Generate(p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := Generate(p, cfg)
+	b, sb, err := Generate(p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a) != len(b) {
-		t.Fatalf("different candidate counts %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if !feature.Equal(a[i].X, b[i].X) {
-			t.Fatalf("candidate %d differs between runs", i)
-		}
+	// Compare float bits, not feature.Equal's epsilon: the search must be
+	// exactly reproducible.
+	if string(hashOutput(nil, a, sa)) != string(hashOutput(nil, b, sb)) {
+		t.Fatalf("runs differ:\n%+v %+v\n%+v %+v", a, sa, b, sb)
 	}
 }
 

@@ -1,0 +1,174 @@
+package candgen
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"justintime/internal/constraints"
+	"justintime/internal/feature"
+	"justintime/internal/mlmodel"
+)
+
+// goldenDigest is the SHA-256 of Generate's full output over
+// goldenMatrix. Any change to the search must leave it unchanged: the
+// candidates, their order, every float bit and every Stats field are
+// part of the digest.
+const goldenDigest = "fd975df7dfb5e3f7e3690e9020e656024591d6a461a6ec00233144cbefa5d7a2"
+
+// hashOutput folds one Generate result into h: the candidate count, each
+// candidate's X, Diff, Gap and Confidence bits, and every Stats field.
+func hashOutput(h []byte, cands []Candidate, st Stats) []byte {
+	u64 := func(v uint64) { h = binary.LittleEndian.AppendUint64(h, v) }
+	i64 := func(v int) { u64(uint64(int64(v))) }
+	i64(len(cands))
+	for _, c := range cands {
+		i64(len(c.X))
+		for _, v := range c.X {
+			u64(math.Float64bits(v))
+		}
+		u64(math.Float64bits(c.Diff))
+		i64(c.Gap)
+		u64(math.Float64bits(c.Confidence))
+	}
+	i64(st.Iterations)
+	i64(st.FirstFeasibleIter)
+	i64(st.Evaluations)
+	if st.Converged {
+		i64(1)
+	} else {
+		i64(0)
+	}
+	i64(st.PoolSize)
+	return h
+}
+
+// goldenMatrix runs Generate over forest and logistic models, continuous
+// and integer-valued schemas, several inputs, no / user / domain
+// constraint sets, λ ∈ {0, 0.5}, K ∈ {1, 8} and two seeds, and returns
+// the SHA-256 of all outputs in order.
+func goldenMatrix(t *testing.T) string {
+	t.Helper()
+	mixed, err := feature.NewSchema(
+		feature.Field{Name: "a", Kind: feature.Continuous, Min: 0, Max: 100},
+		feature.Field{Name: "b", Kind: feature.Integer, Min: 0, Max: 100},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	schemas := []*feature.Schema{twoDSchema(t), mixed}
+	models := []mlmodel.Model{trainedForest(t), trainedLogistic(t)}
+	inputs := [][]float64{{30, 30}, {20, 40}, {45, 10}, {80, 80}}
+	user := constraints.NewSet(
+		constraints.MustParse("a <= old(a) + 15"),
+		constraints.MustParse("b >= old(b)"),
+	)
+	domain := constraints.NewSet(
+		constraints.MustParse("gap <= 2"),
+		constraints.MustParse("diff <= 60"),
+		constraints.MustParse("confidence >= 0.55 OR a >= 90"),
+	)
+	domain.AddAt(constraints.MustParse("b <= 85"), 1)
+	sets := []*constraints.Set{nil, user, domain}
+
+	var buf []byte
+	for si, schema := range schemas {
+		for _, model := range models {
+			for _, in := range inputs {
+				for ci, set := range sets {
+					for _, lambda := range []float64{0, 0.5} {
+						for _, k := range []int{1, 8} {
+							for _, seed := range []int64{1, 7} {
+								cfg := DefaultConfig()
+								cfg.K = k
+								cfg.DiversityPenalty = lambda
+								cfg.Seed = seed
+								p := Problem{
+									Schema: schema, Model: model, Threshold: 0.5,
+									Input: in, Constraints: set, Time: (si + ci) % 2,
+								}
+								cands, st, err := Generate(p, cfg)
+								if err != nil {
+									t.Fatal(err)
+								}
+								buf = hashOutput(buf, cands, st)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	// A loan-shaped 4-D space: an immutable integer, two wide continuous
+	// ranges and an ordinal, so keys and clamping see mixed kinds and scales.
+	loan, err := feature.NewSchema(
+		feature.Field{Name: "age", Kind: feature.Integer, Min: 18, Max: 80, Immutable: true},
+		feature.Field{Name: "income", Kind: feature.Continuous, Min: 0, Max: 200000},
+		feature.Field{Name: "debt", Kind: feature.Continuous, Min: 0, Max: 50000},
+		feature.Field{Name: "household", Kind: feature.Ordinal, Min: 0, Max: 3},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(11))
+	X := make([][]float64, 1500)
+	y := make([]bool, len(X))
+	for i := range X {
+		X[i] = []float64{
+			18 + float64(rng.Intn(63)), rng.Float64() * 200000,
+			rng.Float64() * 50000, float64(rng.Intn(4)),
+		}
+		y[i] = X[i][1]/2000-X[i][2]/500+X[i][0]/4-5*X[i][3] > 20
+	}
+	forest, err := mlmodel.TrainForest(X, y, mlmodel.ForestConfig{Trees: 15, MaxDepth: 7, MinLeaf: 2, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	logit, err := mlmodel.TrainLogistic(X, y, mlmodel.DefaultLogisticConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	loanUser := constraints.NewSet(
+		constraints.MustParse("income <= old(income) * 1.4"),
+		constraints.MustParse("household >= old(household)"),
+	)
+	loanDomain := constraints.NewSet(constraints.MustParse("gap <= 2"), constraints.MustParse("debt >= 1000"))
+	for _, model := range []mlmodel.Model{forest, logit} {
+		for _, in := range [][]float64{{30, 40000, 20000, 2}, {55, 90000, 30000, 1}} {
+			for _, set := range []*constraints.Set{nil, loanUser, loanDomain} {
+				for _, lambda := range []float64{0, 0.5} {
+					for _, k := range []int{1, 8} {
+						cfg := DefaultConfig()
+						cfg.K = k
+						cfg.DiversityPenalty = lambda
+						cands, st, err := Generate(Problem{
+							Schema: loan, Model: model, Threshold: 0.5, Input: in, Constraints: set,
+						}, cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						buf = hashOutput(buf, cands, st)
+					}
+				}
+			}
+		}
+	}
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:])
+}
+
+// TestGoldenFingerprint pins Generate's output bit for bit. The digest
+// was captured on amd64; architectures whose compilers fuse multiply-adds
+// may round differently and are skipped.
+func TestGoldenFingerprint(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden digest is pinned on amd64, running on %s", runtime.GOARCH)
+	}
+	if got := goldenMatrix(t); got != goldenDigest {
+		t.Fatalf("Generate output changed:\n got  %s\n want %s", got, goldenDigest)
+	}
+}
