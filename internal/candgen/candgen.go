@@ -170,14 +170,17 @@ func GenerateContext(ctx context.Context, p Problem, cfg Config) ([]Candidate, S
 	}
 
 	s := &search{
-		ctx:    ctx,
-		p:      p,
-		cfg:    cfg,
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		box:    p.Constraints.Box(p.Schema, p.Input, p.Time),
-		scales: p.Schema.Scales(),
-		pool:   make(map[string]Candidate),
-		stats:  Stats{FirstFeasibleIter: -1},
+		ctx:     ctx,
+		p:       p,
+		cfg:     cfg,
+		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		box:     p.Constraints.Box(p.Schema, p.Input, p.Time),
+		scales:  p.Schema.Scales(),
+		mutable: p.Schema.MutableIndices(),
+		index:   make(map[string]int32),
+		stats:   Stats{FirstFeasibleIter: -1},
+		cctx:    constraints.Context{Schema: p.Schema, Original: p.Input, Time: p.Time},
+		row:     make([]float64, p.Schema.Dim()),
 	}
 	// The ensemble's split-threshold map is invariant for the whole search:
 	// aggregate it once here instead of on every beam expansion.
@@ -219,15 +222,29 @@ func GenerateContext(ctx context.Context, p Problem, cfg Config) ([]Candidate, S
 // define the model-dependent move set.
 type thresholder interface{ Thresholds() map[int][]float64 }
 
+// poolEntry is one distinct feasible candidate with its dedup key, which is
+// computed once, when the entry is inserted.
+type poolEntry struct {
+	key string
+	c   Candidate
+}
+
+// vecChunk is the number of vectors per pool-arena chunk.
+const vecChunk = 256
+
 type search struct {
-	ctx    context.Context
-	p      Problem
-	cfg    Config
-	rng    *rand.Rand
-	box    constraints.Box
-	scales []float64
-	pool   map[string]Candidate
-	stats  Stats
+	ctx     context.Context
+	p       Problem
+	cfg     Config
+	rng     *rand.Rand
+	box     constraints.Box
+	scales  []float64
+	mutable []int
+	// pool holds the distinct feasible candidates in insertion order and
+	// index maps each entry's key to its slot. Slots are never removed.
+	pool  []poolEntry
+	index map[string]int32
+	stats Stats
 	// thresholds is the model's per-feature split thresholds, aggregated
 	// once per search (nil for models without a tree ensemble).
 	thresholds map[int][]float64
@@ -235,6 +252,12 @@ type search struct {
 	// keyBuf the scratch buffer, both for the dedup key hot path.
 	keyScales []float64
 	keyBuf    []byte
+	// cctx is the constraint-evaluation context, reused for every point.
+	cctx constraints.Context
+	// row is consider's scratch vector.
+	row []float64
+	// vecs is the current chunk of the arena pool vectors are copied into.
+	vecs []float64
 }
 
 // ctxErr translates a cancelled context into the search's error, checked at
@@ -249,7 +272,7 @@ func (s *search) ctxErr() error {
 // consider evaluates x fully; when it is a decision-altering candidate it is
 // recorded in the pool. Returns the model score either way.
 func (s *search) consider(x []float64, iter int) (float64, bool) {
-	x = s.p.Schema.Clamp(x)
+	x = s.p.Schema.ClampInto(s.row, x)
 	s.stats.Evaluations++
 	conf := s.p.Model.Predict(x)
 	return conf, s.considerScored(x, conf, iter)
@@ -264,19 +287,13 @@ func (s *search) predictBatch(X [][]float64) []float64 {
 
 // considerScored records x in the pool when it is a decision-altering
 // candidate, given its already-computed model score. x must already be
-// schema-clamped.
+// schema-clamped; it may be a scratch row, because the pool keeps a copy.
 func (s *search) considerScored(x []float64, conf float64, iter int) bool {
 	if conf <= s.p.Threshold {
 		return false
 	}
-	ctx := &constraints.Context{
-		Schema:     s.p.Schema,
-		Original:   s.p.Input,
-		Candidate:  x,
-		Time:       s.p.Time,
-		Confidence: conf,
-	}
-	ok, err := s.p.Constraints.Eval(ctx)
+	s.cctx.Candidate, s.cctx.Confidence = x, conf
+	ok, err := s.p.Constraints.Eval(&s.cctx)
 	if err != nil || !ok {
 		return false
 	}
@@ -288,8 +305,16 @@ func (s *search) considerScored(x []float64, conf float64, iter int) bool {
 	}
 	c.q = s.quality(c)
 	k := s.key(x)
-	if prev, exists := s.pool[k]; !exists || c.q > prev.q {
-		s.pool[k] = c
+	if slot, exists := s.index[string(k)]; !exists {
+		key := string(k)
+		c.X = s.keep(x)
+		s.index[key] = int32(len(s.pool))
+		s.pool = append(s.pool, poolEntry{key: key, c: c})
+	} else if e := &s.pool[slot]; c.q > e.c.q {
+		// A fresh copy, never an overwrite: shrinkPool still reads the
+		// vector this entry held when the phase began.
+		c.X = s.keep(x)
+		e.c = c
 	}
 	if s.stats.FirstFeasibleIter == -1 {
 		s.stats.FirstFeasibleIter = iter
@@ -297,11 +322,26 @@ func (s *search) considerScored(x []float64, conf float64, iter int) bool {
 	return true
 }
 
+// keep copies x into the pool's vector arena, which is carved from chunks
+// of vecChunk vectors so that each insertion need not allocate.
+func (s *search) keep(x []float64) []float64 {
+	if len(s.vecs)+len(x) > cap(s.vecs) {
+		s.vecs = make([]float64, 0, vecChunk*len(x))
+	}
+	n := len(s.vecs)
+	s.vecs = append(s.vecs, x...)
+	return s.vecs[n:len(s.vecs):len(s.vecs)]
+}
+
 // key buckets candidates by rounding each coordinate to 1/1000 of its range,
-// deduplicating near-identical pool entries. The key is a fixed-width binary
-// encoding of the rounded coordinates built in a reused scratch buffer —
-// this runs once per proposed move, so it must not format text.
-func (s *search) key(x []float64) string {
+// deduplicating near-identical pool entries. The key is a fixed-width
+// little-endian encoding of the rounded coordinates, built in a reused
+// scratch buffer that stays valid until the next call: this runs once per
+// proposed move, so it must not allocate. Lookups index maps with
+// string(key), which does not allocate either; only an inserted key is
+// copied into a string. Shrink order and quality ties depend on the keys'
+// byte order, so the encoding must not change.
+func (s *search) key(x []float64) []byte {
 	buf := s.keyBuf[:0]
 	for i, v := range x {
 		q := uint64(int64(math.Round(v / s.keyScales[i] * 1000)))
@@ -310,7 +350,7 @@ func (s *search) key(x []float64) string {
 			byte(q>>32), byte(q>>40), byte(q>>48), byte(q>>56))
 	}
 	s.keyBuf = buf
-	return string(buf)
+	return buf
 }
 
 // quality is the scalarized objective for ranking feasible candidates:
@@ -325,11 +365,12 @@ func (s *search) quality(c Candidate) float64 {
 // axisProbes binary-searches each mutable feature axis for the smallest
 // single-feature modification that alters the decision, in both directions.
 func (s *search) axisProbes() error {
-	for _, i := range s.p.Schema.MutableIndices() {
+	probe := make([]float64, len(s.p.Input))
+	for _, i := range s.mutable {
 		if err := s.ctxErr(); err != nil {
 			return err
 		}
-		for _, dir := range []float64{1, -1} {
+		for _, dir := range [...]float64{1, -1} {
 			lo := s.p.Input[i]
 			hi := lo
 			if dir > 0 {
@@ -341,7 +382,7 @@ func (s *search) axisProbes() error {
 				continue
 			}
 			// Is the far end feasible at all?
-			probe := feature.Clone(s.p.Input)
+			copy(probe, s.p.Input)
 			probe[i] = hi
 			if _, ok := s.consider(probe, 0); !ok {
 				continue
@@ -369,11 +410,20 @@ type beamState struct {
 }
 
 func (s *search) beam() error {
+	d := s.p.Schema.Dim()
 	start := s.p.Schema.Clamp(s.p.Input)
 	beam := []beamState{{x: start, conf: s.p.Model.Predict(start)}}
 	s.stats.Evaluations++
-	seen := map[string]bool{s.key(start): true}
+	seen := map[string]struct{}{string(s.key(start)): {}}
 
+	// Moves are flat rows of d values. The beam's states point into the
+	// previous iteration's move arena while this iteration's moves are
+	// written to the other one; the two swap after every iteration.
+	var moves, prevMoves, scoredBuf []float64
+	var scored [][]float64
+	var next []beamState
+	var ranks []float64
+	var order []int
 	bestObjective := math.Inf(-1)
 	sincImprove := 0
 	for iter := 1; iter <= s.cfg.MaxIters; iter++ {
@@ -389,48 +439,57 @@ func (s *search) beam() error {
 		// copy, because box bounds from constraint constants can land on
 		// fractional values of discrete fields (or ±Inf for contradictory
 		// constraints) that only Schema.Clamp repairs.
-		var moves, scored [][]float64
+		moves = moves[:0]
 		for _, st := range beam {
-			for _, mv := range s.proposeMoves(st.x) {
-				mv = s.box.Clamp(s.p.Schema.Clamp(mv))
-				k := s.key(mv)
-				if seen[k] {
-					continue
-				}
-				seen[k] = true
-				moves = append(moves, mv)
-				scored = append(scored, s.p.Schema.Clamp(mv))
-			}
+			moves = s.proposeMoves(moves, st.x)
 		}
-		if len(moves) == 0 {
+		kept := 0
+		for off := 0; off < len(moves); off += d {
+			mv := moves[off : off+d]
+			s.box.ClampInto(mv, s.p.Schema.ClampInto(mv, mv))
+			k := s.key(mv)
+			if _, dup := seen[string(k)]; dup {
+				continue
+			}
+			seen[string(k)] = struct{}{}
+			copy(moves[kept*d:], mv)
+			kept++
+		}
+		moves = moves[:kept*d]
+		if kept == 0 {
 			s.stats.Converged = true
 			return nil
 		}
+		scoredBuf = append(scoredBuf[:0], moves...)
+		scored = scored[:0]
+		for off := 0; off < len(scoredBuf); off += d {
+			row := scoredBuf[off : off+d]
+			scored = append(scored, s.p.Schema.ClampInto(row, row))
+		}
 		confs := s.predictBatch(scored)
-		next := make([]beamState, len(moves))
-		for i, mv := range moves {
-			s.considerScored(scored[i], confs[i], iter)
-			next[i] = beamState{x: mv, conf: confs[i]}
+		next = next[:0]
+		for i, row := range scored {
+			s.considerScored(row, confs[i], iter)
+			next = append(next, beamState{x: moves[i*d : (i+1)*d : (i+1)*d], conf: confs[i]})
 		}
 		// Rank each state once (the comparator would otherwise recompute
 		// quality O(n log n) times): infeasible states climb by confidence;
 		// feasible states by quality plus a constant to dominate them.
-		ranks := make([]float64, len(next))
+		ranks = ranks[:0]
+		order = order[:0]
 		for i, st := range next {
-			ranks[i] = s.rank(st)
-		}
-		order := make([]int, len(next))
-		for i := range order {
-			order[i] = i
+			ranks = append(ranks, s.rank(st))
+			order = append(order, i)
 		}
 		sort.Slice(order, func(a, b int) bool { return ranks[order[a]] > ranks[order[b]] })
 		if len(order) > s.cfg.BeamWidth {
 			order = order[:s.cfg.BeamWidth]
 		}
-		beam = make([]beamState, len(order))
-		for j, i := range order {
-			beam[j] = next[i]
+		beam = beam[:0]
+		for _, i := range order {
+			beam = append(beam, next[i])
 		}
+		moves, prevMoves = prevMoves, moves
 		if top := ranks[order[0]]; top > bestObjective+1e-9 {
 			bestObjective = top
 			sincImprove = 0
@@ -458,17 +517,31 @@ func (s *search) rank(st beamState) float64 {
 	return st.conf
 }
 
-// proposeMoves generates neighbor states with the model-dependent heuristics
-// of Section II-A.
-func (s *search) proposeMoves(x []float64) [][]float64 {
-	var moves [][]float64
-	mutable := s.p.Schema.MutableIndices()
+// Step sizes, as fractions of the feature range, of the gradient and the
+// coordinate moves.
+var (
+	gradientFracs   = [...]float64{0.02, 0.08, 0.2}
+	coordinateFracs = [...]float64{0.02, 0.1, 0.3}
+)
+
+// pushMove appends a copy of x to the flat move buffer dst and returns the
+// grown buffer and the new row; the row is valid until the next append.
+func pushMove(dst, x []float64) ([]float64, []float64) {
+	n := len(dst)
+	dst = append(dst, x...)
+	return dst, dst[n:]
+}
+
+// proposeMoves appends neighbor states of x to dst, generated with the
+// model-dependent heuristics of Section II-A.
+func (s *search) proposeMoves(dst, x []float64) []float64 {
+	var mv []float64
 
 	// Tree-ensemble heuristic: cross the nearest split thresholds
 	// (aggregated once per search in Generate).
 	if s.thresholds != nil {
-		for _, i := range mutable {
-			moves = append(moves, s.thresholdMoves(x, i, s.thresholds[i])...)
+		for _, i := range s.mutable {
+			dst = s.thresholdMoves(dst, x, i, s.thresholds[i])
 		}
 	}
 
@@ -476,84 +549,80 @@ func (s *search) proposeMoves(x []float64) [][]float64 {
 	type gradient interface{ Gradient(x []float64) []float64 }
 	if gm, ok := s.p.Model.(gradient); ok {
 		g := gm.Gradient(x)
-		for _, frac := range []float64{0.02, 0.08, 0.2} {
-			mv := feature.Clone(x)
-			// Normalize per-feature by range so one step moves each
-			// feature a comparable fraction of its domain.
-			norm := 0.0
-			for _, i := range mutable {
-				norm += math.Abs(g[i]) * s.scales[i]
+		// Normalize per-feature by range so one step moves each
+		// feature a comparable fraction of its domain.
+		norm := 0.0
+		for _, i := range s.mutable {
+			norm += math.Abs(g[i]) * s.scales[i]
+		}
+		// A vanishing gradient proposes nothing (written so that a NaN
+		// norm still proposes).
+		if !(norm < 1e-18) {
+			for _, frac := range gradientFracs {
+				dst, mv = pushMove(dst, x)
+				for _, i := range s.mutable {
+					mv[i] += frac * g[i] * s.scales[i] * s.scales[i] / norm
+				}
 			}
-			if norm < 1e-18 {
-				break
-			}
-			for _, i := range mutable {
-				mv[i] += frac * g[i] * s.scales[i] * s.scales[i] / norm
-			}
-			moves = append(moves, mv)
 		}
 	}
 
 	// Generic coordinate moves: ± a fraction of the feature range.
-	for _, i := range mutable {
-		for _, frac := range []float64{0.02, 0.1, 0.3} {
+	for _, i := range s.mutable {
+		for _, frac := range coordinateFracs {
 			step := frac * s.scales[i]
 			if step <= 0 {
 				continue
 			}
-			up := feature.Clone(x)
-			up[i] += step
-			down := feature.Clone(x)
-			down[i] -= step
-			moves = append(moves, up, down)
+			dst, mv = pushMove(dst, x)
+			mv[i] += step
+			dst, mv = pushMove(dst, x)
+			mv[i] -= step
 		}
 	}
 
 	// A couple of random two-feature moves to escape plateaus.
-	if len(mutable) >= 2 {
+	if len(s.mutable) >= 2 {
 		for k := 0; k < 2; k++ {
-			mv := feature.Clone(x)
-			i := mutable[s.rng.Intn(len(mutable))]
-			j := mutable[s.rng.Intn(len(mutable))]
+			dst, mv = pushMove(dst, x)
+			i := s.mutable[s.rng.Intn(len(s.mutable))]
+			j := s.mutable[s.rng.Intn(len(s.mutable))]
 			mv[i] += (s.rng.Float64() - 0.5) * 0.2 * s.scales[i]
 			mv[j] += (s.rng.Float64() - 0.5) * 0.2 * s.scales[j]
-			moves = append(moves, mv)
 		}
 	}
-	return moves
+	return dst
 }
 
-// thresholdMoves proposes crossing the nearest ensemble split thresholds on
-// feature i, in both directions.
-func (s *search) thresholdMoves(x []float64, i int, thrs []float64) [][]float64 {
+// thresholdMoves appends to dst moves crossing the nearest ensemble split
+// thresholds on feature i, in both directions.
+func (s *search) thresholdMoves(dst, x []float64, i int, thrs []float64) []float64 {
 	if len(thrs) == 0 {
-		return nil
+		return dst
 	}
 	eps := s.scales[i] * 1e-3
 	if eps <= 0 {
 		eps = 1e-6
 	}
-	var moves [][]float64
+	var mv []float64
 	// The nearest 2 thresholds above and below the current value.
 	above, below := 0, 0
 	j := sort.SearchFloat64s(thrs, x[i])
 	for u := j; u < len(thrs) && above < 2; u++ {
 		if thrs[u] > x[i] {
-			mv := feature.Clone(x)
+			dst, mv = pushMove(dst, x)
 			mv[i] = thrs[u] + eps
-			moves = append(moves, mv)
 			above++
 		}
 	}
 	for d := j - 1; d >= 0 && below < 2; d-- {
 		if thrs[d] < x[i] {
-			mv := feature.Clone(x)
+			dst, mv = pushMove(dst, x)
 			mv[i] = thrs[d] - eps
-			moves = append(moves, mv)
 			below++
 		}
 	}
-	return moves
+	return dst
 }
 
 // shrinkPool walks each feasible candidate back toward the input by binary
@@ -561,36 +630,47 @@ func (s *search) thresholdMoves(x []float64, i int, thrs []float64) [][]float64 
 // The searches run in lockstep so each of the 12 bisection rounds scores
 // every candidate's midpoint with one batch model call.
 func (s *search) shrinkPool() error {
-	originals := make([]Candidate, 0, len(s.pool))
-	for _, c := range s.pool {
-		if c.Diff > 0 {
-			originals = append(originals, c)
+	var slots []int32
+	for i := range s.pool {
+		if s.pool[i].c.Diff > 0 {
+			slots = append(slots, int32(i))
 		}
 	}
-	// Deterministic iteration order.
-	sort.Slice(originals, func(a, b int) bool {
-		return s.key(originals[a].X) < s.key(originals[b].X)
-	})
-	if len(originals) == 0 {
+	if len(slots) == 0 {
 		return nil
+	}
+	// Deterministic iteration order.
+	sort.Slice(slots, func(a, b int) bool { return s.pool[slots[a]].key < s.pool[slots[b]].key })
+	// The shrink set is fixed before any round runs: an entry the rounds
+	// replace keeps its original vector here.
+	originals := make([][]float64, len(slots))
+	for j, slot := range slots {
+		originals[j] = s.pool[slot].c.X
 	}
 	lo := make([]float64, len(originals)) // fraction of the way input->candidate
 	hi := make([]float64, len(originals))
 	for i := range hi {
 		hi[i] = 1
 	}
+	// Midpoints are drawn from one arena reused by every round; the pool
+	// copies those it keeps.
+	d := s.p.Schema.Dim()
+	arena := make([]float64, len(originals)*d)
 	rows := make([][]float64, len(originals))
+	for j := range rows {
+		rows[j] = arena[j*d : (j+1)*d : (j+1)*d]
+	}
 	for step := 0; step < 12; step++ {
 		if err := s.ctxErr(); err != nil {
 			return err
 		}
-		for j, c := range originals {
+		for j, x := range originals {
 			mid := (lo[j] + hi[j]) / 2
-			x := make([]float64, len(c.X))
-			for i := range x {
-				x[i] = s.p.Input[i] + mid*(c.X[i]-s.p.Input[i])
+			row := rows[j]
+			for i := range row {
+				row[i] = s.p.Input[i] + mid*(x[i]-s.p.Input[i])
 			}
-			rows[j] = s.p.Schema.Clamp(x)
+			s.p.Schema.ClampInto(row, row)
 		}
 		confs := s.predictBatch(rows)
 		for j := range originals {
@@ -604,60 +684,71 @@ func (s *search) shrinkPool() error {
 	return nil
 }
 
+// ranksBefore reports whether pool entry a ranks ahead of entry b: higher
+// quality first, ties broken by ascending key.
+func (s *search) ranksBefore(a, b int) bool {
+	if qa, qb := s.pool[a].c.q, s.pool[b].c.q; qa != qb {
+		return qa > qb
+	}
+	return s.pool[a].key < s.pool[b].key
+}
+
 // selectTopK picks K pool candidates by maximal marginal relevance:
-// quality minus λ times similarity to the already-selected set.
+// quality minus λ times similarity to the already-selected set. Each round
+// takes an argmax over the unpicked entries with ties broken by
+// ranksBefore, so it picks exactly what a scan of the rank-sorted pool
+// would, without sorting the pool.
 func (s *search) selectTopK() []Candidate {
-	all := make([]Candidate, 0, len(s.pool))
-	for _, c := range s.pool {
-		all = append(all, c)
-	}
-	sort.Slice(all, func(a, b int) bool {
-		if all[a].q != all[b].q {
-			return all[a].q > all[b].q
-		}
-		return s.key(all[a].X) < s.key(all[b].X)
-	})
-	if len(all) <= s.cfg.K {
-		return all
-	}
-	lambda := s.cfg.DiversityPenalty
-	if lambda == 0 {
-		return all[:s.cfg.K]
+	k, lambda := s.cfg.K, s.cfg.DiversityPenalty
+	if len(s.pool) <= k {
+		// The whole pool is returned, best-ranked first.
+		k, lambda = len(s.pool), 0
 	}
 	sqrtD := math.Sqrt(float64(s.p.Schema.Dim()))
-	similarity := func(a, b Candidate) float64 {
-		d := feature.ScaledDiff(a.X, b.X, s.scales) / sqrtD
+	similarity := func(a, b []float64) float64 {
+		d := feature.ScaledDiff(a, b, s.scales) / sqrtD
 		return 1 / (1 + 10*d)
 	}
-	selected := []Candidate{all[0]}
-	remaining := all[1:]
-	// maxSim[i] tracks each remaining candidate's similarity to the closest
+	picked := make([]bool, len(s.pool))
+	// maxSim[i] tracks each unpicked candidate's similarity to the closest
 	// already-selected one; it is updated incrementally as candidates are
 	// selected, so each MMR round computes one new similarity per candidate
 	// instead of rescanning the whole selected set.
-	maxSim := make([]float64, len(remaining))
-	for i, c := range remaining {
-		maxSim[i] = similarity(c, selected[0])
+	var maxSim []float64
+	if lambda != 0 {
+		maxSim = make([]float64, len(s.pool))
 	}
-	for len(selected) < s.cfg.K && len(remaining) > 0 {
-		bestIdx, bestScore := -1, math.Inf(-1)
-		for i, c := range remaining {
-			score := (1-lambda)*c.q - lambda*maxSim[i]
-			if score > bestScore {
-				bestScore, bestIdx = score, i
+	selected := make([]Candidate, 0, k)
+	last := -1
+	for len(selected) < k {
+		best, bestScore := -1, 0.0
+		for i := range s.pool {
+			if picked[i] {
+				continue
+			}
+			c := &s.pool[i].c
+			score := c.q
+			if lambda != 0 && last >= 0 {
+				if sim := similarity(c.X, s.pool[last].c.X); len(selected) == 1 || sim > maxSim[i] {
+					maxSim[i] = sim
+				}
+				score = (1-lambda)*c.q - lambda*maxSim[i]
+			}
+			if best < 0 || score > bestScore || score == bestScore && s.ranksBefore(i, best) {
+				best, bestScore = i, score
 			}
 		}
-		picked := remaining[bestIdx]
-		selected = append(selected, picked)
-		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
-		maxSim = append(maxSim[:bestIdx], maxSim[bestIdx+1:]...)
-		for i, c := range remaining {
-			if sim := similarity(c, picked); sim > maxSim[i] {
-				maxSim[i] = sim
-			}
-		}
+		picked[best] = true
+		last = best
+		c := s.pool[best].c
+		// The pool's vectors share arena chunks; hand out copies so the
+		// caller does not pin them.
+		c.X = feature.Clone(c.X)
+		selected = append(selected, c)
 	}
-	// Present best-quality first.
-	sort.Slice(selected, func(a, b int) bool { return selected[a].q > selected[b].q })
+	if lambda != 0 {
+		// Present best-quality first.
+		sort.Slice(selected, func(a, b int) bool { return selected[a].q > selected[b].q })
+	}
 	return selected
 }

@@ -1,0 +1,5 @@
+//go:build race
+
+package candgen
+
+const raceEnabled = true

@@ -261,6 +261,10 @@ func TestBoxClampAndContains(t *testing.T) {
 	if x[1] != 90000 {
 		t.Error("Clamp mutated input")
 	}
+	// ClampInto clamps in place when dst aliases x.
+	if got := box.ClampInto(x, x); &got[0] != &x[0] || x[1] != 60000 || x[0] != 30 {
+		t.Errorf("in-place ClampInto = %v", x)
+	}
 }
 
 func TestBoxTimeDependent(t *testing.T) {

@@ -120,16 +120,21 @@ func (b Box) Contains(x []float64) bool {
 
 // Clamp returns a copy of x clamped into the box.
 func (b Box) Clamp(x []float64) []float64 {
-	out := feature.Clone(x)
-	for i := range out {
-		if out[i] < b.Lo[i] {
-			out[i] = b.Lo[i]
+	return b.ClampInto(make([]float64, len(x)), x)
+}
+
+// ClampInto is Clamp writing into dst, which it returns. dst may alias x.
+func (b Box) ClampInto(dst, x []float64) []float64 {
+	for i, v := range x {
+		if v < b.Lo[i] {
+			v = b.Lo[i]
 		}
-		if out[i] > b.Hi[i] {
-			out[i] = b.Hi[i]
+		if v > b.Hi[i] {
+			v = b.Hi[i]
 		}
+		dst[i] = v
 	}
-	return out
+	return dst
 }
 
 // Box derives interval bounds for every feature at the given time point,

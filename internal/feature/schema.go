@@ -176,8 +176,16 @@ func (s *Schema) TemporalIndices() []int {
 // It panics if len(x) != Dim().
 func (s *Schema) Clamp(x []float64) []float64 {
 	s.mustDim(x)
-	out := make([]float64, len(x))
-	for i, f := range s.fields {
+	return s.ClampInto(make([]float64, len(x)), x)
+}
+
+// ClampInto is Clamp writing into dst, which it returns. dst may alias x.
+// It panics if len(x) or len(dst) != Dim().
+func (s *Schema) ClampInto(dst, x []float64) []float64 {
+	s.mustDim(x)
+	s.mustDim(dst)
+	for i := range s.fields {
+		f := &s.fields[i]
 		v := x[i]
 		if f.Kind != Continuous {
 			v = math.Round(v)
@@ -188,9 +196,9 @@ func (s *Schema) Clamp(x []float64) []float64 {
 		if v > f.Max {
 			v = f.Max
 		}
-		out[i] = v
+		dst[i] = v
 	}
-	return out
+	return dst
 }
 
 // Validate reports whether x is a well-formed point of the schema's space:

@@ -94,6 +94,49 @@ func TestClamp(t *testing.T) {
 	}
 }
 
+func TestClampInto(t *testing.T) {
+	s := testSchema(t)
+	in := []float64{17.4, -5, 2e5, 3.6}
+	want := []float64{18, 0, 1e5, 4}
+
+	// dst distinct from x: x is untouched, dst is returned and filled.
+	dst := make([]float64, len(in))
+	if got := s.ClampInto(dst, in); &got[0] != &dst[0] || !Equal(dst, want) {
+		t.Errorf("ClampInto(dst, x) = %v, want %v in dst", got, want)
+	}
+	if in[0] != 17.4 || in[3] != 3.6 {
+		t.Errorf("ClampInto mutated x: %v", in)
+	}
+
+	// dst aliasing x: clamped in place.
+	if got := s.ClampInto(in, in); &got[0] != &in[0] || !Equal(in, want) {
+		t.Errorf("in-place ClampInto = %v, want %v", in, want)
+	}
+
+	// Same bits as Clamp on random vectors.
+	f := func(a, b, c, d float64) bool {
+		x := []float64{a, b, c, d}
+		ref := s.Clamp(x)
+		got := s.ClampInto(x, x)
+		for i := range ref {
+			if math.Float64bits(ref[i]) != math.Float64bits(got[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Error("ClampInto with a short dst should panic")
+		}
+	}()
+	s.ClampInto(make([]float64, 2), in)
+}
+
 func TestValidate(t *testing.T) {
 	s := testSchema(t)
 	if err := s.Validate([]float64{30, 5e4, 100, 3}); err != nil {

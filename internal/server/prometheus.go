@@ -63,6 +63,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	if st, any := shipperStats(); any {
 		boolGauge("jitd_replication_connected", "Primary-side replication feed is connected (1 = yes).", st.Connected)
+		// Lag counts WAL bytes only. A checkpoint's snapshot and page files
+		// show up only as the new epoch's WAL size, so a session whose
+		// checkpoint has not reached the standby counts here while adding
+		// as little as 0 to jitd_replication_lag_bytes.
 		gauge("jitd_replication_lag_sessions", "Sessions whose standby cursor differs from the primary's (0 = standby current).", st.LagSessions)
 		gauge("jitd_replication_lag_bytes", "WAL bytes the standby lacks, summed over lagging sessions.", st.LagBytes)
 		counter("jitd_replication_shipped_records_total", "Replication frames shipped to the standby.", st.ShippedRecords)
