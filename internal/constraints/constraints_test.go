@@ -250,16 +250,16 @@ func TestBoxClampAndContains(t *testing.T) {
 	if box.Contains(x) {
 		t.Error("90000 income should be outside")
 	}
-	clamped := box.Clamp(x)
+	clamped := box.ClampInto(make([]float64, len(x)), x)
 	if clamped[1] != 60000 {
 		t.Errorf("clamped income = %g", clamped[1])
 	}
 	if !box.Contains(clamped) {
 		t.Error("clamped point must be inside")
 	}
-	// Clamp must not mutate input.
+	// Clamping into another slice must not mutate the input.
 	if x[1] != 90000 {
-		t.Error("Clamp mutated input")
+		t.Error("ClampInto mutated input")
 	}
 	// ClampInto clamps in place when dst aliases x.
 	if got := box.ClampInto(x, x); &got[0] != &x[0] || x[1] != 60000 || x[0] != 30 {

@@ -118,12 +118,8 @@ func (b Box) Contains(x []float64) bool {
 	return true
 }
 
-// Clamp returns a copy of x clamped into the box.
-func (b Box) Clamp(x []float64) []float64 {
-	return b.ClampInto(make([]float64, len(x)), x)
-}
-
-// ClampInto is Clamp writing into dst, which it returns. dst may alias x.
+// ClampInto writes x clamped into the box to dst and returns dst. dst may
+// alias x.
 func (b Box) ClampInto(dst, x []float64) []float64 {
 	for i, v := range x {
 		if v < b.Lo[i] {

@@ -175,7 +175,6 @@ func (s *Schema) TemporalIndices() []int {
 // bounds and Integer/Ordinal coordinates rounded to the nearest integer.
 // It panics if len(x) != Dim().
 func (s *Schema) Clamp(x []float64) []float64 {
-	s.mustDim(x)
 	return s.ClampInto(make([]float64, len(x)), x)
 }
 
