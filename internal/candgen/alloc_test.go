@@ -11,9 +11,9 @@ import (
 // shrink midpoints, top-K) reuse scratch space, so what remains is roughly
 // one key string per distinct pool entry and beam state plus arena chunks.
 // The budgets are the measured counts (5762 and 7424 on go1.24/amd64)
-// plus ~10% for runtime map-growth differences; before the scratch reuse
-// the same searches made ~67.5k and ~121k. A budget that fails means a
-// hot path allocates again.
+// plus ~10% for runtime map-growth differences. Allocating per move or per
+// feasible point costs tens of thousands more (~67.5k and ~121k), so a
+// budget that fails means a hot path allocates again.
 func TestGenerateAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds allocations of its own")
