@@ -17,6 +17,8 @@ import (
 // forcing the naive scan path. Constants travel as `?` parameters, typed to
 // the probed column's comparison family, so generated queries never hit
 // evaluation type errors — any divergence is a planner bug, not noise.
+// WHERE clauses also carry expression subqueries (EXISTS, IN, ALL/ANY and
+// scalar), correlated and not, so subquery execution is diffed the same way.
 
 // diffColumnPool is the fixed column menu tables draw from; small value
 // domains force duplicate keys, ties at LIMIT boundaries, and NULL-heavy
@@ -140,6 +142,8 @@ func buildDiffQuery(r *rand.Rand, tables []diffTable) (string, []Value) {
 	join := r.Intn(3) // 0 = none, 1 = inner, 2 = left
 	var sb strings.Builder
 	var args []Value
+	aliasCol := diffNumericCols(t1)[r.Intn(len(diffNumericCols(t1)))]
+	usesAlias := false
 
 	sb.WriteString("SELECT ")
 	switch {
@@ -165,6 +169,8 @@ func buildDiffQuery(r *rand.Rand, tables []diffTable) (string, []Value) {
 			fmt.Fprintf(&sb, "u.%s", t1.cols[r.Intn(len(t1.cols))].Name)
 		}
 	}
+	selectList := sb.String()
+	sb.Reset()
 	sb.WriteString(" FROM t1 u")
 	if join > 0 {
 		kw := "INNER JOIN"
@@ -188,7 +194,7 @@ func buildDiffQuery(r *rand.Rand, tables []diffTable) (string, []Value) {
 			alias, tbl = "v", t2
 		}
 		col := tbl.cols[r.Intn(len(tbl.cols))]
-		switch r.Intn(9) {
+		switch r.Intn(11) {
 		case 0:
 			fmt.Fprintf(&sb, "%s.%s BETWEEN ? AND ?", alias, col.Name)
 			args = append(args, diffProbe(r, col.Type), diffProbe(r, col.Type))
@@ -221,6 +227,10 @@ func buildDiffQuery(r *rand.Rand, tables []diffTable) (string, []Value) {
 			op2 := []string{"=", "=", "<=", ">"}[r.Intn(4)]
 			fmt.Fprintf(&sb, "(%s.%s %s ? OR %s.%s %s ?)", alias, col.Name, op1, alias, col2.Name, op2)
 			args = append(args, diffProbe(r, col.Type), diffProbe(r, col2.Type))
+		case 4, 5:
+			conj, alias := diffSubqueryConjunct(r, tables, join == 0, &args)
+			sb.WriteString(conj)
+			usesAlias = usesAlias || alias
 		default:
 			op := []string{"=", "=", "=", "<", "<=", ">", ">="}[r.Intn(7)]
 			fmt.Fprintf(&sb, "%s.%s %s ?", alias, col.Name, op)
@@ -253,7 +263,150 @@ func buildDiffQuery(r *rand.Rand, tables []diffTable) (string, []Value) {
 			}
 		}
 	}
-	return sb.String(), args
+	if usesAlias {
+		// The subquery reads the outer row through a select-list alias, as
+		// the paper's dominant-feature question reads `t`.
+		selectList += fmt.Sprintf(", u.%s AS oa", aliasCol.Name)
+	}
+	return selectList + sb.String(), args
+}
+
+// diffNumericCols lists the columns of tbl that compare with one another
+// without a type error (every non-TEXT column).
+func diffNumericCols(tbl diffTable) []Column {
+	var out []Column
+	for _, c := range tbl.cols {
+		if c.Type != TextType {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// diffSubqueryConjunct emits one WHERE conjunct built around an expression
+// subquery over either table: [NOT] EXISTS, [NOT] IN, a quantified ALL/ANY
+// comparison, a scalar aggregate, or (when allowNested) an EXISTS nested one
+// level deeper. Nesting multiplies the rows every unmemoised arm evaluates,
+// so it is kept off joined outer queries and its middle level always filters
+// by an equality.
+// About half are correlated. Outer references come qualified (u.c0),
+// unqualified (a t1 column the inner table lacks), through the outer select
+// alias oa, and, from the nested EXISTS, two levels up. Inner filters also
+// use unqualified inner columns, which shadow outer columns of the same
+// name. Only non-TEXT columns are compared and scalar subqueries aggregate,
+// so no generated subquery can raise an evaluation error. usesAlias reports
+// whether the caller must project `AS oa`.
+func diffSubqueryConjunct(r *rand.Rand, tables []diffTable, allowNested bool, args *[]Value) (conj string, usesAlias bool) {
+	t1 := tables[0]
+	outerCols := diffNumericCols(t1)
+	pick := func(cols []Column) Column { return cols[r.Intn(len(cols))] }
+	cmp := func() string { return []string{"=", "=", "!=", "<", "<=", ">", ">="}[r.Intn(7)] }
+
+	// outerRef names one outer value as seen from inside a subquery whose
+	// own relations are innerTbls.
+	outerRef := func(innerTbls ...diffTable) string {
+		switch r.Intn(4) {
+		case 0:
+			usesAlias = true
+			return "oa"
+		case 1:
+			// Unqualified: only a name no inner table has resolves outward.
+			// Such a name is a t1 column t2 lacks, so it is unambiguous in
+			// the outer query, which joins t2 at most.
+			for _, c := range outerCols {
+				shadowed := false
+				for _, it := range innerTbls {
+					for _, ic := range it.cols {
+						shadowed = shadowed || ic.Name == c.Name
+					}
+				}
+				if !shadowed {
+					return c.Name
+				}
+			}
+		}
+		return "u." + pick(outerCols).Name
+	}
+
+	// filters renders 0-2 WHERE predicates for a subquery over tbl aliased
+	// as alias; correlated forces at least one outer reference.
+	filters := func(alias string, tbl diffTable, correlated bool, innerTbls ...diffTable) []string {
+		var out []string
+		n := r.Intn(3)
+		if correlated && n == 0 {
+			n = 1
+		}
+		for i := 0; i < n; i++ {
+			col := pick(diffNumericCols(tbl))
+			if correlated && i == 0 {
+				out = append(out, fmt.Sprintf("%s.%s %s %s", alias, col.Name, cmp(), outerRef(innerTbls...)))
+				continue
+			}
+			ref := alias + "." + col.Name
+			if r.Intn(2) == 0 {
+				ref = col.Name // unqualified: the inner column shadows any outer one
+			}
+			out = append(out, fmt.Sprintf("%s %s ?", ref, cmp()))
+			*args = append(*args, diffProbe(r, col.Type))
+		}
+		return out
+	}
+	where := func(preds []string) string {
+		if len(preds) == 0 {
+			return ""
+		}
+		return " WHERE " + strings.Join(preds, " AND ")
+	}
+	not := func() string {
+		if r.Intn(3) == 0 {
+			return "NOT "
+		}
+		return ""
+	}
+
+	inner := tables[r.Intn(2)]
+	innerName := inner.name
+	correlated := r.Intn(2) == 0
+	form := r.Intn(9)
+	if form == 8 && !allowNested {
+		form = 0
+	}
+	switch form / 2 {
+	case 0:
+		preds := filters("w", inner, correlated, inner)
+		return fmt.Sprintf("%sEXISTS (SELECT * FROM %s w%s)", not(), innerName, where(preds)), usesAlias
+	case 1:
+		lhs, col := pick(outerCols), pick(diffNumericCols(inner))
+		preds := filters("w", inner, correlated, inner)
+		return fmt.Sprintf("u.%s %sIN (SELECT w.%s FROM %s w%s)", lhs.Name, not(), col.Name, innerName, where(preds)), usesAlias
+	case 2:
+		lhs, col := pick(outerCols), pick(diffNumericCols(inner))
+		quant := []string{"ALL", "ANY"}[r.Intn(2)]
+		preds := filters("w", inner, correlated, inner)
+		return fmt.Sprintf("u.%s %s %s (SELECT w.%s FROM %s w%s)", lhs.Name, cmp(), quant, col.Name, innerName, where(preds)), usesAlias
+	case 3:
+		lhs, col := pick(outerCols), pick(diffNumericCols(inner))
+		agg := []string{"MAX(w.", "MIN(w.", "COUNT(w."}[r.Intn(3)] + col.Name + ")"
+		if r.Intn(4) == 0 {
+			agg = "COUNT(*)"
+		}
+		preds := filters("w", inner, correlated, inner)
+		return fmt.Sprintf("u.%s %s (SELECT %s FROM %s w%s)", lhs.Name, cmp(), agg, innerName, where(preds)), usesAlias
+	default:
+		// The innermost subquery references the query two levels up (u or
+		// oa) and its immediate parent w.
+		inner2 := tables[r.Intn(2)]
+		preds := filters("w", inner, correlated, inner)
+		eq := pick(diffNumericCols(inner))
+		preds = append(preds, fmt.Sprintf("w.%s = ?", eq.Name))
+		*args = append(*args, diffProbe(r, eq.Type))
+		c2, cw := pick(diffNumericCols(inner2)), pick(diffNumericCols(inner))
+		nested := fmt.Sprintf("%sEXISTS (SELECT * FROM %s x WHERE x.%s %s w.%s AND x.%s %s %s)",
+			not(), inner2.name, c2.Name, cmp(), cw.Name,
+			pick(diffNumericCols(inner2)).Name, cmp(), outerRef(inner, inner2))
+		preds = append(preds, nested)
+		return fmt.Sprintf("%sEXISTS (SELECT * FROM %s w%s)", not(), innerName, where(preds)), usesAlias
+	}
 }
 
 // runDiffCase builds one random schema and checks every generated query for
