@@ -27,7 +27,9 @@ func explainSession(t *testing.T, sess *Session, sql string, args ...sqldb.Value
 // TestCannedQuestionPlanShapes is the PR's acceptance check: the rewired
 // canned questions and the plan query must actually hit the planner's new
 // shapes (index intersection, index nested-loop join, top-k) against a real
-// session database with its auto-created indexes.
+// session database with its auto-created indexes, and the two questions with
+// subqueries must memoise them (turning-point's ALL subquery once, its NOT
+// EXISTS per temporal-input time; dominant-feature's EXISTS per t).
 func TestCannedQuestionPlanShapes(t *testing.T) {
 	sys := testSystem(t)
 	sess, err := sys.NewSession(rejectedProfile(t, sys), nil)
@@ -58,13 +60,16 @@ func TestCannedQuestionPlanShapes(t *testing.T) {
 		case QDominantFeature:
 			assertShapes(q.Kind.String(), plan,
 				"index intersection of candidates_time (time=) and candidates_gap_diff (gap range)",
-				"index nested loop (temporal_inputs_time)")
+				"index nested loop (temporal_inputs_time)",
+				"memoised on (t)")
 		case QMaximalConfidence:
 			assertShapes(q.Kind.String(), plan, "top-k scan candidates using index candidates_p (p desc) limit 1")
 		case QTurningPoint:
 			assertShapes(q.Kind.String(), plan,
 				"index candidates_p (p range)",
-				"index candidates_time_p (time=, p range)")
+				"index candidates_time_p (time=, p range)",
+				"memoised: uncorrelated",
+				"memoised on (ti.time)")
 		}
 	}
 

@@ -217,6 +217,7 @@ func (db *DB) Query(sql string, args ...Value) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	st.adhoc = true
 	return st.Query(db, args...)
 }
 
@@ -227,12 +228,13 @@ func (db *DB) Exec(sql string, args ...Value) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	st.adhoc = true
 	return st.Exec(db, args...)
 }
 
 // execStatement runs a parsed non-SELECT statement under the already-held
-// write lock.
-func (db *DB) execStatement(stmt Statement, params []Value) (int, error) {
+// write lock; ex carries its parameters.
+func (db *DB) execStatement(stmt Statement, ex *executor) (int, error) {
 	switch s := stmt.(type) {
 	case *CreateTableStmt:
 		return 0, db.execCreate(s)
@@ -243,11 +245,11 @@ func (db *DB) execStatement(stmt Statement, params []Value) (int, error) {
 	case *DropIndexStmt:
 		return 0, db.dropIndexLocked(s.Name, s.IfExists)
 	case *InsertStmt:
-		return db.execInsert(s, params)
+		return db.execInsert(s, ex)
 	case *DeleteStmt:
-		return db.execDelete(s, params)
+		return db.execDelete(s, ex)
 	case *UpdateStmt:
-		return db.execUpdate(s, params)
+		return db.execUpdate(s, ex)
 	case *AnalyzeStmt:
 		return db.execAnalyze(s)
 	case *SelectStmt, *ExplainStmt:
@@ -467,7 +469,7 @@ func (db *DB) execDrop(s *DropTableStmt) error {
 	return t.store.Close() // releases page files/frames for paged tables
 }
 
-func (db *DB) execInsert(s *InsertStmt, params []Value) (int, error) {
+func (db *DB) execInsert(s *InsertStmt, ex *executor) (int, error) {
 	t, ok := db.tables[s.Table]
 	if !ok {
 		return 0, fmt.Errorf("sqldb: unknown table %q", s.Table)
@@ -497,7 +499,6 @@ func (db *DB) execInsert(s *InsertStmt, params []Value) (int, error) {
 			targets = append(targets, i)
 		}
 	}
-	ex := &executor{db: db, params: params}
 	if s.Select != nil {
 		res, err := ex.execSelect(s.Select, nil)
 		if err != nil {
@@ -548,12 +549,11 @@ func (db *DB) execInsert(s *InsertStmt, params []Value) (int, error) {
 	return inserted, nil
 }
 
-func (db *DB) execDelete(s *DeleteStmt, params []Value) (int, error) {
+func (db *DB) execDelete(s *DeleteStmt, ex *executor) (int, error) {
 	t, ok := db.tables[s.Table]
 	if !ok {
 		return 0, fmt.Errorf("sqldb: unknown table %q", s.Table)
 	}
-	ex := &executor{db: db, params: params}
 	// Evaluate the whole WHERE pass into a fresh slice before touching the
 	// store: an evaluation error mid-scan must leave the table unchanged
 	// (compacting in place would duplicate already-shifted rows).
@@ -592,7 +592,7 @@ func (db *DB) execDelete(s *DeleteStmt, params []Value) (int, error) {
 	return deleted, nil
 }
 
-func (db *DB) execUpdate(s *UpdateStmt, params []Value) (int, error) {
+func (db *DB) execUpdate(s *UpdateStmt, ex *executor) (int, error) {
 	t, ok := db.tables[s.Table]
 	if !ok {
 		return 0, fmt.Errorf("sqldb: unknown table %q", s.Table)
@@ -605,7 +605,6 @@ func (db *DB) execUpdate(s *UpdateStmt, params []Value) (int, error) {
 		}
 		cols[i] = ci
 	}
-	ex := &executor{db: db, params: params}
 	// Two passes: evaluate every row's assignments first, then write. An
 	// evaluation or coercion error mid-scan must leave the table unchanged
 	// rather than half-updated.

@@ -412,7 +412,8 @@ func diffSubqueryConjunct(r *rand.Rand, tables []diffTable, allowNested bool, ar
 // runDiffCase builds one random schema and checks every generated query for
 // divergence (results, order, columns, and error presence) between the
 // planned execution, a stats-ablated structural plan, the DisableIndexScan
-// scan baseline, and the fully-ablated nested-loop path. Halfway through,
+// scan baseline, the fully-ablated nested-loop path, and the planned
+// execution with subquery memoisation off. Halfway through,
 // ANALYZE builds statistics so the second half diffs cost-based plans
 // (covering scans, index unions, intersection-vs-single-path flips) against
 // the same baselines.
@@ -441,9 +442,10 @@ func runDiffCase(t testing.TB, seed int64, queries int) {
 		structural, terr := run(sql, args, false, false, true)
 		scanned, serr := run(sql, args, true, false, false)
 		nested, nerr := run(sql, args, true, true, false)
-		if (ierr == nil) != (serr == nil) || (terr == nil) != (serr == nil) || (nerr == nil) != (serr == nil) {
-			t.Fatalf("seed %d: %s %v: indexed err=%v structural err=%v scan err=%v nested err=%v",
-				seed, sql, args, ierr, terr, serr, nerr)
+		direct, derr := queryNoMemo(t, db, sql, args)
+		if (ierr == nil) != (serr == nil) || (terr == nil) != (serr == nil) || (nerr == nil) != (serr == nil) || (derr == nil) != (ierr == nil) {
+			t.Fatalf("seed %d: %s %v: indexed err=%v structural err=%v scan err=%v nested err=%v unmemoised err=%v",
+				seed, sql, args, ierr, terr, serr, nerr, derr)
 		}
 		if ierr != nil {
 			continue
@@ -457,7 +459,23 @@ func runDiffCase(t testing.TB, seed int64, queries int) {
 		if !reflect.DeepEqual(indexed, nested) {
 			t.Fatalf("seed %d: %s %v:\nindexed: %+v\nnested:  %+v", seed, sql, args, indexed, nested)
 		}
+		if !reflect.DeepEqual(indexed, direct) {
+			t.Fatalf("seed %d: %s %v:\nmemoised:   %+v\nunmemoised: %+v", seed, sql, args, indexed, direct)
+		}
 	}
+}
+
+// queryNoMemo is db.Query with subquery memoisation off: every subquery
+// runs once per evaluation, the reference the memoised result must equal.
+func queryNoMemo(t testing.TB, db *DB, sql string, args []Value) (*Result, error) {
+	st, err := Prepare(sql)
+	if err != nil {
+		t.Fatalf("%s: %v", sql, err)
+	}
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	ex := &executor{db: db, params: args, adhoc: true, noMemo: true}
+	return ex.execSelect(st.stmt.(*SelectStmt), nil)
 }
 
 // TestDifferentialPlannerParity is the CI lock on the planner: 200 random

@@ -92,6 +92,19 @@ type executor struct {
 	// ptrackBuf backs ptrack for traced statements so enabling fault
 	// attribution costs no allocation (ptrack = &ptrackBuf).
 	ptrackBuf pager.Tracker
+
+	// memo caches expression-subquery results for this execution (see
+	// memo.go). noMemo runs every subquery directly; only tests set it, to
+	// diff memoised execution against direct execution.
+	memo   map[*SelectStmt]*subqueryMemo
+	noMemo bool
+
+	// adhoc marks a statement parsed for this execution alone (DB.Query,
+	// DB.Exec): its plans go to adhocPlans, which dies with the executor,
+	// instead of the DB's cache, where its AST could never be looked up
+	// again.
+	adhoc      bool
+	adhocPlans *planCache
 }
 
 // eval evaluates e in the given scope (which may be nil for constant
@@ -183,7 +196,7 @@ func (ex *executor) eval(e Expr, sc *scope) (Value, error) {
 	case *InExpr:
 		return ex.evalIn(n, sc)
 	case *ExistsExpr:
-		res, err := ex.execSelect(n.Sub, sc)
+		res, err := ex.subquery(n.Sub, sc)
 		if err != nil {
 			return Value{}, err
 		}
@@ -385,7 +398,7 @@ func arith(l, r Value, op string) (Value, error) {
 }
 
 func (ex *executor) evalQuantified(n *BinaryExpr, l Value, sc *scope) (Value, error) {
-	res, err := ex.execSelect(n.Sub, sc)
+	res, err := ex.subquery(n.Sub, sc)
 	if err != nil {
 		return Value{}, err
 	}
@@ -435,7 +448,7 @@ func (ex *executor) evalIn(n *InExpr, sc *scope) (Value, error) {
 	}
 	var members []Value
 	if n.Sub != nil {
-		res, err := ex.execSelect(n.Sub, sc)
+		res, err := ex.subquery(n.Sub, sc)
 		if err != nil {
 			return Value{}, err
 		}
@@ -476,7 +489,7 @@ func (ex *executor) evalIn(n *InExpr, sc *scope) (Value, error) {
 }
 
 func (ex *executor) evalScalarSubquery(sub *SelectStmt, sc *scope) (Value, error) {
-	res, err := ex.execSelect(sub, sc)
+	res, err := ex.subquery(sub, sc)
 	if err != nil {
 		return Value{}, err
 	}

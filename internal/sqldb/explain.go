@@ -75,6 +75,9 @@ func (ex *executor) tracePush(sel *SelectStmt) {
 		label = "select"
 	}
 	node := &planNode{label: label}
+	if m := ex.memo[sel]; m != nil {
+		node.entries = append(node.entries, planEntry{text: m.label})
+	}
 	if tr.root == nil {
 		tr.root = node
 	} else {

@@ -7,8 +7,8 @@ import (
 
 // The plan cache memoizes access-path selection per prepared statement.
 // Entries are keyed by the *SelectStmt node (a prepared statement reuses
-// its AST across executions, so the pointer is a stable identity; ad-hoc
-// db.Query calls parse fresh nodes and simply miss) and stamped with the
+// its AST across executions, so the pointer is a stable identity) and
+// stamped with the
 // (schema version, stats epoch) pair they were chosen under. A stale stamp
 // counts as an invalidation and forces a re-plan — this is how index DDL
 // and stats drift retire plans that reference dropped indexes or outdated
@@ -21,8 +21,15 @@ import (
 // keep working on cache hits. The template itself reflects the first
 // execution's estimates (classic parameter sniffing; documented behavior).
 
-// planCacheCap bounds entries per DB so ad-hoc query churn cannot grow the
-// map without bound; overflow evicts an arbitrary entry.
+//
+// Ad-hoc DB.Query and DB.Exec statements parse a fresh AST that never runs
+// again, so their plans live in a cache on the executor instead: it still
+// serves a subquery re-planned within the statement, and it is dropped with
+// the statement rather than pinning dead ASTs in the DB's cache.
+
+// planCacheCap bounds entries per cache so churn through many prepared
+// statements cannot grow the map without bound; overflow evicts an
+// arbitrary entry.
 const planCacheCap = 512
 
 // planCacheCounts are process-wide hit/miss/invalidation counters, exported
@@ -115,8 +122,9 @@ func planTemplateOf(schemaV, statsE uint64, paths []accessPath, covering bool) *
 	return cp
 }
 
-// planCache is the per-DB store. Its own mutex (not the DB lock) guards the
-// map: read-locked queries insert entries concurrently.
+// planCache is the per-DB store (and, for ad-hoc statements, the
+// per-executor one). Its own mutex (not the DB lock) guards the map:
+// read-locked queries insert entries concurrently.
 type planCache struct {
 	mu sync.Mutex
 	m  map[*SelectStmt]*cachedPlan
@@ -147,4 +155,16 @@ func (c *planCache) drop(sel *SelectStmt) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.m, sel)
+}
+
+// planCache returns where this execution caches plans: the DB's cache for a
+// prepared statement, the executor's own for an ad-hoc one.
+func (ex *executor) planCache() *planCache {
+	if !ex.adhoc {
+		return &ex.db.plans
+	}
+	if ex.adhocPlans == nil {
+		ex.adhocPlans = &planCache{}
+	}
+	return ex.adhocPlans
 }

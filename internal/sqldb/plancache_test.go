@@ -125,15 +125,13 @@ func TestDropIndexInvalidatesCachedPlan(t *testing.T) {
 	}
 }
 
-// TestPlanCacheCapBounded: ad-hoc churn (each db.Query a fresh AST) cannot
-// grow the per-DB cache past planCacheCap.
+// TestPlanCacheCapBounded: churn through many distinct prepared statements
+// cannot grow the per-DB cache past planCacheCap.
 func TestPlanCacheCapBounded(t *testing.T) {
 	db := explainFixture(t)
 	db.MustExec("ANALYZE")
 	for i := 0; i < planCacheCap+100; i++ {
-		if _, err := db.Query(fmt.Sprintf("SELECT * FROM candidates WHERE time = %d", i%4)); err != nil {
-			t.Fatal(err)
-		}
+		run0(t, MustPrepare(fmt.Sprintf("SELECT * FROM candidates WHERE time = %d", i%4)), db)
 	}
 	db.plans.mu.Lock()
 	n := len(db.plans.m)
@@ -142,7 +140,41 @@ func TestPlanCacheCapBounded(t *testing.T) {
 		t.Fatalf("plan cache holds %d entries, cap is %d", n, planCacheCap)
 	}
 	if n == 0 {
-		t.Fatal("plan cache is empty; ad-hoc queries are not being cached at all")
+		t.Fatal("plan cache is empty; prepared statements are not being cached at all")
+	}
+}
+
+// TestPlanCacheHoldsNoAdHocPlans: an ad-hoc statement's AST never runs
+// again, so db.Query and db.Exec keep their plans on the executor and the
+// DB's cache stays empty however many distinct statements run. Within one
+// execution the executor's cache still serves a re-planned subquery.
+func TestPlanCacheHoldsNoAdHocPlans(t *testing.T) {
+	db := explainFixture(t)
+	db.MustExec("ANALYZE")
+	for i := 0; i < 1000; i++ {
+		if _, err := db.Query(fmt.Sprintf("SELECT * FROM candidates WHERE time = %d AND p > 0.%d", i%4, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.MustExec("DELETE FROM temporal_inputs WHERE time IN (SELECT time FROM candidates WHERE time = 9)")
+	db.plans.mu.Lock()
+	n := len(db.plans.m)
+	db.plans.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("DB plan cache holds %d ad-hoc entries, want 0", n)
+	}
+
+	// A correlated subquery runs once per distinct outer time (4) and plans
+	// its index probe each time: one miss, then three hits from the
+	// executor's cache. The outer scan, with no sargable conjunct, is one
+	// more miss.
+	h, m, _ := pcDeltas(t, func() {
+		if _, err := db.Query("SELECT ti.time FROM temporal_inputs ti WHERE EXISTS (SELECT * FROM candidates c WHERE c.time = ti.time AND c.p > 0.5)"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if h != 3 || m != 2 {
+		t.Fatalf("correlated subquery: hits/misses = %d/%d, want 3/2", h, m)
 	}
 }
 

@@ -691,17 +691,18 @@ func (ex *executor) indexScan(t *Table, rel relation, sel *SelectStmt, parent *s
 		return ex.sentinelRows(t)
 	}
 	db := ex.db
+	plans := ex.planCache()
 	schemaV, statsE := db.schemaVersion.Load(), db.statsEpoch.Load()
 	var paths []accessPath
 	covering, cached := false, false
-	if cp := db.plans.get(sel); cp != nil {
+	if cp := plans.get(sel); cp != nil {
 		if cp.schemaVersion == schemaV && cp.statsEpoch == statsE {
 			if ps, ok := cp.instantiate(set); ok && !cp.full {
 				paths, covering, cached = ps, cp.covering, true
 				planCacheCounts.hits.Add(1)
 			}
 		} else {
-			db.plans.drop(sel)
+			plans.drop(sel)
 			planCacheCounts.invalidations.Add(1)
 		}
 	}
@@ -729,7 +730,7 @@ func (ex *executor) indexScan(t *Table, rel relation, sel *SelectStmt, parent *s
 			coverCols, coverOK = ex.coveringRefs(sel, t, rel)
 		}
 		paths, covering = ex.choosePaths(t, built, coverCols, coverOK)
-		db.plans.put(sel, planTemplateOf(schemaV, statsE, paths, covering))
+		plans.put(sel, planTemplateOf(schemaV, statsE, paths, covering))
 		if ex.span != nil {
 			planDur = time.Since(planStart)
 		}

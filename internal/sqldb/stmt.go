@@ -19,6 +19,7 @@ type Stmt struct {
 	sql       string
 	stmt      Statement
 	numParams int
+	adhoc     bool // parsed by DB.Query or DB.Exec for one execution
 }
 
 // Prepare compiles a single SQL statement. `?` placeholders become
@@ -95,7 +96,7 @@ func (st *Stmt) Exec(db *DB, args ...Value) (int, error) {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	n, err := db.execStatement(st.stmt, args)
+	n, err := db.execStatement(st.stmt, &executor{db: db, params: args, adhoc: st.adhoc})
 	// Log whenever state may have changed: a clean success (DDL reports
 	// n=0, err=nil) or a partial INSERT (n>0 with an error; replaying the
 	// deterministic statement reproduces the identical partial effect).

@@ -56,7 +56,7 @@ func (st *Stmt) queryTraced(ctx context.Context, db *DB, maxRows int, args []Val
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	ex := &executor{db: db, params: args}
+	ex := &executor{db: db, params: args, adhoc: st.adhoc}
 	if maxRows > 0 {
 		ex.capRows = maxRows
 	}
@@ -93,7 +93,7 @@ func (st *Stmt) queryTraced(ctx context.Context, db *DB, maxRows int, args []Val
 		// the plan cache the re-run chooses the identical (now "(cached)")
 		// paths, so the text matches what just ran. Fast statements never pay
 		// this.
-		ex2 := &executor{db: db, params: args, capRows: ex.capRows}
+		ex2 := &executor{db: db, params: args, capRows: ex.capRows, adhoc: ex.adhoc, adhocPlans: ex.adhocPlans}
 		if maxRows > 0 {
 			ex2.capRows = maxRows
 		}
