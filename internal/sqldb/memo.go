@@ -142,9 +142,9 @@ func (ex *executor) analyseSubquery(sel *SelectStmt) *subqueryMemo {
 	return m
 }
 
-// with returns frames extended by f, never sharing the caller's backing
-// array.
-func with(frames []memoFrame, f memoFrame) []memoFrame {
+// pushFrame returns frames extended by f, never sharing the caller's
+// backing array.
+func pushFrame(frames []memoFrame, f memoFrame) []memoFrame {
 	return append(frames[:len(frames):len(frames)], f)
 }
 
@@ -172,10 +172,10 @@ func (a *memoAnalysis) level(sel *SelectStmt, frames []memoFrame) {
 	}
 	for i, ref := range sel.From {
 		if ref.JoinCond != nil {
-			a.expr(ref.JoinCond, with(frames, memoFrame{rels: rels[:i+1], aggs: aggs}))
+			a.expr(ref.JoinCond, pushFrame(frames, memoFrame{rels: rels[:i+1], aggs: aggs}))
 		}
 	}
-	full := with(frames, memoFrame{rels: rels, sel: sel, aggs: aggs})
+	full := pushFrame(frames, memoFrame{rels: rels, sel: sel, aggs: aggs})
 	a.expr(sel.Where, full)
 	for _, g := range sel.GroupBy {
 		a.expr(g, full)
@@ -184,7 +184,7 @@ func (a *memoAnalysis) level(sel *SelectStmt, frames []memoFrame) {
 	for _, o := range sel.OrderBy {
 		a.expr(o.Expr, full)
 	}
-	inAlias := with(frames, memoFrame{rels: rels, sel: sel, inAlias: true, aggs: aggs})
+	inAlias := pushFrame(frames, memoFrame{rels: rels, sel: sel, inAlias: true, aggs: aggs})
 	for _, item := range sel.Items {
 		if item.Alias != "" {
 			a.expr(item.Expr, inAlias)

@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -138,18 +139,13 @@ func TestMemoKeysAreExact(t *testing.T) {
 	}
 
 	keys := map[string]Value{}
-	for _, v := range []Value{Null(), Int(0), Int(1), Float(1), Float(0), Float(negZero()), Bool(true), Bool(false), Text(""), Text("\x01")} {
+	for _, v := range []Value{Null(), Int(0), Int(1), Float(1), Float(0), Float(math.Copysign(0, -1)), Bool(true), Bool(false), Text(""), Text("\x01")} {
 		k := string(appendMemoKey(nil, v))
 		if prev, dup := keys[k]; dup {
 			t.Errorf("%v (%s) and %v (%s) share a memo key", prev, prev.Type(), v, v.Type())
 		}
 		keys[k] = v
 	}
-}
-
-func negZero() float64 {
-	z := 0.0
-	return -z
 }
 
 func TestMemoOuterAggregateInHaving(t *testing.T) {

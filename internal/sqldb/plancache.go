@@ -8,11 +8,10 @@ import (
 // The plan cache memoizes access-path selection per prepared statement.
 // Entries are keyed by the *SelectStmt node (a prepared statement reuses
 // its AST across executions, so the pointer is a stable identity) and
-// stamped with the
-// (schema version, stats epoch) pair they were chosen under. A stale stamp
-// counts as an invalidation and forces a re-plan — this is how index DDL
-// and stats drift retire plans that reference dropped indexes or outdated
-// estimates.
+// stamped with the (schema version, stats epoch) pair they were chosen
+// under. A stale stamp counts as an invalidation and forces a re-plan —
+// this is how index DDL and stats drift retire plans that reference dropped
+// indexes or outdated estimates.
 //
 // What is cached is the structural template of the plan — which indexes,
 // how many equality columns, whether a range/IN probe or covering applies —
@@ -20,7 +19,6 @@ import (
 // parameters, so the NULL-probe and incomparable-probe parity fallbacks
 // keep working on cache hits. The template itself reflects the first
 // execution's estimates (classic parameter sniffing; documented behavior).
-
 //
 // Ad-hoc DB.Query and DB.Exec statements parse a fresh AST that never runs
 // again, so their plans live in a cache on the executor instead: it still
