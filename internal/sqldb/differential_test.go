@@ -289,6 +289,7 @@ func diffNumericCols(tbl diffTable) []Column {
 // level deeper. Nesting multiplies the rows every unmemoised arm evaluates,
 // so it is kept off joined outer queries and its middle level always filters
 // by an equality.
+//
 // About half are correlated. Outer references come qualified (u.c0),
 // unqualified (a t1 column the inner table lacks), through the outer select
 // alias oa, and, from the nested EXISTS, two levels up. Inner filters also
@@ -328,35 +329,6 @@ func diffSubqueryConjunct(r *rand.Rand, tables []diffTable, allowNested bool, ar
 		return "u." + pick(outerCols).Name
 	}
 
-	// filters renders 0-2 WHERE predicates for a subquery over tbl aliased
-	// as alias; correlated forces at least one outer reference.
-	filters := func(alias string, tbl diffTable, correlated bool, innerTbls ...diffTable) []string {
-		var out []string
-		n := r.Intn(3)
-		if correlated && n == 0 {
-			n = 1
-		}
-		for i := 0; i < n; i++ {
-			col := pick(diffNumericCols(tbl))
-			if correlated && i == 0 {
-				out = append(out, fmt.Sprintf("%s.%s %s %s", alias, col.Name, cmp(), outerRef(innerTbls...)))
-				continue
-			}
-			ref := alias + "." + col.Name
-			if r.Intn(2) == 0 {
-				ref = col.Name // unqualified: the inner column shadows any outer one
-			}
-			out = append(out, fmt.Sprintf("%s %s ?", ref, cmp()))
-			*args = append(*args, diffProbe(r, col.Type))
-		}
-		return out
-	}
-	where := func(preds []string) string {
-		if len(preds) == 0 {
-			return ""
-		}
-		return " WHERE " + strings.Join(preds, " AND ")
-	}
 	not := func() string {
 		if r.Intn(3) == 0 {
 			return "NOT "
@@ -364,48 +336,64 @@ func diffSubqueryConjunct(r *rand.Rand, tables []diffTable, allowNested bool, ar
 		return ""
 	}
 
+	// The subquery reads inner as w, filtered by 0-2 predicates; a
+	// correlated one has at least one outer reference.
 	inner := tables[r.Intn(2)]
-	innerName := inner.name
 	correlated := r.Intn(2) == 0
+	var preds []string
+	n := r.Intn(3)
+	if correlated && n == 0 {
+		n = 1
+	}
+	for i := 0; i < n; i++ {
+		col := pick(diffNumericCols(inner))
+		if correlated && i == 0 {
+			preds = append(preds, fmt.Sprintf("w.%s %s %s", col.Name, cmp(), outerRef(inner)))
+			continue
+		}
+		ref := "w." + col.Name
+		if r.Intn(2) == 0 {
+			ref = col.Name // unqualified: the inner column shadows any outer one
+		}
+		preds = append(preds, fmt.Sprintf("%s %s ?", ref, cmp()))
+		*args = append(*args, diffProbe(r, col.Type))
+	}
+	from := func() string {
+		if len(preds) == 0 {
+			return " FROM " + inner.name + " w"
+		}
+		return " FROM " + inner.name + " w WHERE " + strings.Join(preds, " AND ")
+	}
+
 	form := r.Intn(9)
 	if form == 8 && !allowNested {
 		form = 0
 	}
+	lhs, col := pick(outerCols), pick(diffNumericCols(inner))
 	switch form / 2 {
 	case 0:
-		preds := filters("w", inner, correlated, inner)
-		return fmt.Sprintf("%sEXISTS (SELECT * FROM %s w%s)", not(), innerName, where(preds)), usesAlias
+		return fmt.Sprintf("%sEXISTS (SELECT *%s)", not(), from()), usesAlias
 	case 1:
-		lhs, col := pick(outerCols), pick(diffNumericCols(inner))
-		preds := filters("w", inner, correlated, inner)
-		return fmt.Sprintf("u.%s %sIN (SELECT w.%s FROM %s w%s)", lhs.Name, not(), col.Name, innerName, where(preds)), usesAlias
+		return fmt.Sprintf("u.%s %sIN (SELECT w.%s%s)", lhs.Name, not(), col.Name, from()), usesAlias
 	case 2:
-		lhs, col := pick(outerCols), pick(diffNumericCols(inner))
 		quant := []string{"ALL", "ANY"}[r.Intn(2)]
-		preds := filters("w", inner, correlated, inner)
-		return fmt.Sprintf("u.%s %s %s (SELECT w.%s FROM %s w%s)", lhs.Name, cmp(), quant, col.Name, innerName, where(preds)), usesAlias
+		return fmt.Sprintf("u.%s %s %s (SELECT w.%s%s)", lhs.Name, cmp(), quant, col.Name, from()), usesAlias
 	case 3:
-		lhs, col := pick(outerCols), pick(diffNumericCols(inner))
 		agg := []string{"MAX(w.", "MIN(w.", "COUNT(w."}[r.Intn(3)] + col.Name + ")"
 		if r.Intn(4) == 0 {
 			agg = "COUNT(*)"
 		}
-		preds := filters("w", inner, correlated, inner)
-		return fmt.Sprintf("u.%s %s (SELECT %s FROM %s w%s)", lhs.Name, cmp(), agg, innerName, where(preds)), usesAlias
+		return fmt.Sprintf("u.%s %s (SELECT %s%s)", lhs.Name, cmp(), agg, from()), usesAlias
 	default:
 		// The innermost subquery references the query two levels up (u or
 		// oa) and its immediate parent w.
 		inner2 := tables[r.Intn(2)]
-		preds := filters("w", inner, correlated, inner)
-		eq := pick(diffNumericCols(inner))
-		preds = append(preds, fmt.Sprintf("w.%s = ?", eq.Name))
-		*args = append(*args, diffProbe(r, eq.Type))
-		c2, cw := pick(diffNumericCols(inner2)), pick(diffNumericCols(inner))
-		nested := fmt.Sprintf("%sEXISTS (SELECT * FROM %s x WHERE x.%s %s w.%s AND x.%s %s %s)",
-			not(), inner2.name, c2.Name, cmp(), cw.Name,
-			pick(diffNumericCols(inner2)).Name, cmp(), outerRef(inner, inner2))
-		preds = append(preds, nested)
-		return fmt.Sprintf("%sEXISTS (SELECT * FROM %s w%s)", not(), innerName, where(preds)), usesAlias
+		preds = append(preds, fmt.Sprintf("w.%s = ?", col.Name))
+		*args = append(*args, diffProbe(r, col.Type))
+		preds = append(preds, fmt.Sprintf("%sEXISTS (SELECT * FROM %s x WHERE x.%s %s w.%s AND x.%s %s %s)",
+			not(), inner2.name, pick(diffNumericCols(inner2)).Name, cmp(), pick(diffNumericCols(inner)).Name,
+			pick(diffNumericCols(inner2)).Name, cmp(), outerRef(inner, inner2)))
+		return fmt.Sprintf("%sEXISTS (SELECT *%s)", not(), from()), usesAlias
 	}
 }
 
