@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -258,6 +259,31 @@ func TestSessionErrors(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("non-SELECT %q through sql endpoint: %d", q, resp.StatusCode)
 		}
+	}
+}
+
+// TestExpertSQLPlansNotCached: every expert query parses a fresh statement
+// that never runs again, so none of their plans may stay in the session
+// DB's plan cache.
+func TestExpertSQLPlansNotCached(t *testing.T) {
+	h := New(demoSystem(t))
+	srv := httptest.NewServer(h)
+	t.Cleanup(srv.Close)
+	t.Cleanup(func() { h.Close() })
+	id := createSession(t, srv, nil)
+	sess, ok := h.sessions.getCtx(context.Background(), id)
+	if !ok {
+		t.Fatalf("session %s not found", id)
+	}
+	before := sess.DB().CachedPlans()
+	for i := 0; i < 200; i++ {
+		q := fmt.Sprintf("SELECT time, diff FROM candidates WHERE time = %d AND p > 0.%03d", i%3, i)
+		if resp, out := postJSON(t, srv.URL+"/api/sessions/"+id+"/sql", map[string]string{"query": q}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %d %v", q, resp.StatusCode, out)
+		}
+	}
+	if after := sess.DB().CachedPlans(); after != before {
+		t.Fatalf("session DB caches %d plans after 200 expert queries, %d before", after, before)
 	}
 }
 

@@ -213,22 +213,20 @@ func (r *Result) Format() string {
 // placeholders positionally; hot paths should Prepare once and reuse the
 // compiled statement instead.
 func (db *DB) Query(sql string, args ...Value) (*Result, error) {
-	st, err := Prepare(sql)
+	st, err := PrepareAdHoc(sql)
 	if err != nil {
 		return nil, err
 	}
-	st.adhoc = true
 	return st.Query(db, args...)
 }
 
 // Exec parses and executes a non-SELECT statement, returning the number of
 // rows affected (0 for DDL). Optional args bind `?` placeholders.
 func (db *DB) Exec(sql string, args ...Value) (int, error) {
-	st, err := Prepare(sql)
+	st, err := PrepareAdHoc(sql)
 	if err != nil {
 		return 0, err
 	}
-	st.adhoc = true
 	return st.Exec(db, args...)
 }
 

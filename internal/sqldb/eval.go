@@ -99,8 +99,8 @@ type executor struct {
 	memo   map[*SelectStmt]*subqueryMemo
 	noMemo bool
 
-	// adhoc marks a statement parsed for this execution alone (DB.Query,
-	// DB.Exec): its plans go to adhocPlans, which dies with the executor,
+	// adhoc marks a statement parsed for this execution alone
+	// (PrepareAdHoc, DB.Query, DB.Exec): its plans go to adhocPlans, which dies with the executor,
 	// instead of the DB's cache, where its AST could never be looked up
 	// again.
 	adhoc      bool

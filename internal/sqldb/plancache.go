@@ -20,8 +20,9 @@ import (
 // keep working on cache hits. The template itself reflects the first
 // execution's estimates (classic parameter sniffing; documented behavior).
 //
-// Ad-hoc DB.Query and DB.Exec statements parse a fresh AST that never runs
-// again, so their plans live in a cache on the executor instead: it still
+// Ad-hoc statements (PrepareAdHoc, DB.Query, DB.Exec) parse a fresh AST
+// that never runs again, so their plans live in a cache on the executor
+// instead: it still
 // serves a subquery re-planned within the statement, and it is dropped with
 // the statement rather than pinning dead ASTs in the DB's cache.
 
@@ -147,6 +148,14 @@ func (c *planCache) put(sel *SelectStmt, cp *cachedPlan) {
 		}
 	}
 	c.m[sel] = cp
+}
+
+// CachedPlans returns the number of plans in the DB's plan cache: those of
+// prepared statements, never of ad-hoc ones.
+func (db *DB) CachedPlans() int {
+	db.plans.mu.Lock()
+	defer db.plans.mu.Unlock()
+	return len(db.plans.m)
 }
 
 func (c *planCache) drop(sel *SelectStmt) {

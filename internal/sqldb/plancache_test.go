@@ -133,9 +133,7 @@ func TestPlanCacheCapBounded(t *testing.T) {
 	for i := 0; i < planCacheCap+100; i++ {
 		run0(t, MustPrepare(fmt.Sprintf("SELECT * FROM candidates WHERE time = %d", i%4)), db)
 	}
-	db.plans.mu.Lock()
-	n := len(db.plans.m)
-	db.plans.mu.Unlock()
+	n := db.CachedPlans()
 	if n > planCacheCap {
 		t.Fatalf("plan cache holds %d entries, cap is %d", n, planCacheCap)
 	}
@@ -157,9 +155,7 @@ func TestPlanCacheHoldsNoAdHocPlans(t *testing.T) {
 		}
 	}
 	db.MustExec("DELETE FROM temporal_inputs WHERE time IN (SELECT time FROM candidates WHERE time = 9)")
-	db.plans.mu.Lock()
-	n := len(db.plans.m)
-	db.plans.mu.Unlock()
+	n := db.CachedPlans()
 	if n != 0 {
 		t.Fatalf("DB plan cache holds %d ad-hoc entries, want 0", n)
 	}

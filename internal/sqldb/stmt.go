@@ -19,7 +19,7 @@ type Stmt struct {
 	sql       string
 	stmt      Statement
 	numParams int
-	adhoc     bool // parsed by DB.Query or DB.Exec for one execution
+	adhoc     bool // parsed by PrepareAdHoc for one execution
 }
 
 // Prepare compiles a single SQL statement. `?` placeholders become
@@ -30,6 +30,18 @@ func Prepare(sql string) (*Stmt, error) {
 		return nil, err
 	}
 	return &Stmt{sql: sql, stmt: stmt, numParams: nparams}, nil
+}
+
+// PrepareAdHoc is Prepare for a statement parsed for one execution, such
+// as a request's own SQL text. Its AST never runs again, so its plans are
+// cached on the executor and die with it instead of pinning the AST in the
+// DB's plan cache.
+func PrepareAdHoc(sql string) (*Stmt, error) {
+	st, err := Prepare(sql)
+	if err == nil {
+		st.adhoc = true
+	}
+	return st, err
 }
 
 // MustPrepare is Prepare that panics on error, for statements fixed at
