@@ -12,6 +12,7 @@
 package candgen
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -168,19 +169,24 @@ func GenerateContext(ctx context.Context, p Problem, cfg Config) ([]Candidate, S
 	if p.Constraints == nil {
 		p.Constraints = constraints.NewSet()
 	}
+	// Box matches bare attribute references, so it reads the set before
+	// Bind turns them into vector indexes for the per-point checks.
+	box := p.Constraints.Box(p.Schema, p.Input, p.Time)
+	p.Constraints = p.Constraints.Bind(p.Schema)
 
+	d := p.Schema.Dim()
 	s := &search{
 		ctx:     ctx,
 		p:       p,
 		cfg:     cfg,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		box:     p.Constraints.Box(p.Schema, p.Input, p.Time),
+		box:     box,
 		scales:  p.Schema.Scales(),
 		mutable: p.Schema.MutableIndices(),
-		index:   make(map[string]int32),
+		pool:    pool{keys: newKeyTable(keyBytes * d), dim: d},
 		stats:   Stats{FirstFeasibleIter: -1},
 		cctx:    constraints.Context{Schema: p.Schema, Original: p.Input, Time: p.Time},
-		row:     make([]float64, p.Schema.Dim()),
+		row:     make([]float64, d),
 	}
 	// The ensemble's split-threshold map is invariant for the whole search:
 	// aggregate it once here instead of on every beam expansion.
@@ -214,7 +220,7 @@ func GenerateContext(ctx context.Context, p Problem, cfg Config) ([]Candidate, S
 
 	// Phase 3: diverse top-k selection.
 	out := s.selectTopK()
-	s.stats.PoolSize = len(s.pool)
+	s.stats.PoolSize = s.pool.len()
 	return out, s.stats, nil
 }
 
@@ -222,15 +228,46 @@ func GenerateContext(ctx context.Context, p Problem, cfg Config) ([]Candidate, S
 // define the model-dependent move set.
 type thresholder interface{ Thresholds() map[int][]float64 }
 
-// poolEntry is one distinct feasible candidate with its dedup key, which is
-// computed once, when the entry is inserted.
+// poolEntry is one distinct feasible candidate's objectives and quality;
+// its vector is stored in the pool's arena.
 type poolEntry struct {
-	key string
-	c   Candidate
+	diff, conf, q float64
+	gap           int
 }
 
-// vecChunk is the number of vectors per pool-arena chunk.
-const vecChunk = 256
+// pool holds the distinct feasible candidates in insertion order. Slot i is
+// keys' i-th key, the i-th entry and the i-th vector; entries and vectors
+// are carved from chunks of keyChunk, so inserting copies nothing already
+// stored and neither holds a pointer.
+type pool struct {
+	keys    *keyTable
+	dim     int
+	entries [][]poolEntry
+	vecs    [][]float64
+}
+
+func (p *pool) len() int { return p.keys.len() }
+
+func (p *pool) entry(slot int32) *poolEntry { return &p.entries[slot/keyChunk][slot%keyChunk] }
+
+func (p *pool) vec(slot int32) []float64 {
+	off := int(slot%keyChunk) * p.dim
+	return p.vecs[slot/keyChunk][off : off+p.dim : off+p.dim]
+}
+
+// set stores e and a copy of x in slot, which is either taken or the first
+// free one.
+func (p *pool) set(slot int32, e poolEntry, x []float64) {
+	if int(slot) == len(p.entries)*keyChunk {
+		p.entries = append(p.entries, make([]poolEntry, keyChunk))
+		p.vecs = append(p.vecs, make([]float64, keyChunk*p.dim))
+	}
+	*p.entry(slot) = e
+	copy(p.vec(slot), x)
+}
+
+// keyBytes is the width of one coordinate in a dedup key.
+const keyBytes = 8
 
 type search struct {
 	ctx     context.Context
@@ -240,11 +277,8 @@ type search struct {
 	box     constraints.Box
 	scales  []float64
 	mutable []int
-	// pool holds the distinct feasible candidates in insertion order and
-	// index maps each entry's key to its slot. Slots are never removed.
-	pool  []poolEntry
-	index map[string]int32
-	stats Stats
+	pool    pool
+	stats   Stats
 	// thresholds is the model's per-feature split thresholds, aggregated
 	// once per search (nil for models without a tree ensemble).
 	thresholds map[int][]float64
@@ -256,8 +290,6 @@ type search struct {
 	cctx constraints.Context
 	// row is consider's scratch vector.
 	row []float64
-	// vecs is the current chunk of the arena pool vectors are copied into.
-	vecs []float64
 }
 
 // ctxErr translates a cancelled context into the search's error, checked at
@@ -288,6 +320,7 @@ func (s *search) predictBatch(X [][]float64) []float64 {
 // considerScored records x in the pool when it is a decision-altering
 // candidate, given its already-computed model score. x must already be
 // schema-clamped; it may be a scratch row, because the pool keeps a copy.
+// A candidate that beats the entry under its key overwrites it in place.
 func (s *search) considerScored(x []float64, conf float64, iter int) bool {
 	if conf <= s.p.Threshold {
 		return false
@@ -297,24 +330,10 @@ func (s *search) considerScored(x []float64, conf float64, iter int) bool {
 	if err != nil || !ok {
 		return false
 	}
-	c := Candidate{
-		X:          x,
-		Diff:       feature.Diff(x, s.p.Input),
-		Gap:        feature.Gap(x, s.p.Input),
-		Confidence: conf,
-	}
-	c.q = s.quality(c)
-	k := s.key(x)
-	if slot, exists := s.index[string(k)]; !exists {
-		key := string(k)
-		c.X = s.keep(x)
-		s.index[key] = int32(len(s.pool))
-		s.pool = append(s.pool, poolEntry{key: key, c: c})
-	} else if e := &s.pool[slot]; c.q > e.c.q {
-		// A fresh copy, never an overwrite: shrinkPool still reads the
-		// vector this entry held when the phase began.
-		c.X = s.keep(x)
-		e.c = c
+	gap := feature.Gap(x, s.p.Input)
+	q := s.quality(x, gap, conf)
+	if slot, added := s.pool.keys.insert(s.key(x)); added || q > s.pool.entry(slot).q {
+		s.pool.set(slot, poolEntry{diff: feature.Diff(x, s.p.Input), conf: conf, q: q, gap: gap}, x)
 	}
 	if s.stats.FirstFeasibleIter == -1 {
 		s.stats.FirstFeasibleIter = iter
@@ -322,25 +341,12 @@ func (s *search) considerScored(x []float64, conf float64, iter int) bool {
 	return true
 }
 
-// keep copies x into the pool's vector arena, which is carved from chunks
-// of vecChunk vectors so that each insertion need not allocate.
-func (s *search) keep(x []float64) []float64 {
-	if len(s.vecs)+len(x) > cap(s.vecs) {
-		s.vecs = make([]float64, 0, vecChunk*len(x))
-	}
-	n := len(s.vecs)
-	s.vecs = append(s.vecs, x...)
-	return s.vecs[n:len(s.vecs):len(s.vecs)]
-}
-
 // key buckets candidates by rounding each coordinate to 1/1000 of its range,
 // deduplicating near-identical pool entries. The key is a fixed-width
 // little-endian encoding of the rounded coordinates, built in a reused
 // scratch buffer that stays valid until the next call: this runs once per
-// proposed move, so it must not allocate. Lookups index maps with
-// string(key), which does not allocate either; only an inserted key is
-// copied into a string. Shrink order and quality ties depend on the keys'
-// byte order, so the encoding must not change.
+// proposed move, so it must not allocate. Shrink order and quality ties
+// compare keys byte by byte, so the encoding must not change.
 func (s *search) key(x []float64) []byte {
 	buf := s.keyBuf[:0]
 	for i, v := range x {
@@ -353,13 +359,13 @@ func (s *search) key(x []float64) []byte {
 	return buf
 }
 
-// quality is the scalarized objective for ranking feasible candidates:
-// higher is better.
-func (s *search) quality(c Candidate) float64 {
+// quality is the scalarized objective for ranking a feasible candidate x
+// with gap modified attributes and model score conf: higher is better.
+func (s *search) quality(x []float64, gap int, conf float64) float64 {
 	w := s.cfg.Weights
-	normDiff := feature.ScaledDiff(c.X, s.p.Input, s.scales) / math.Sqrt(float64(len(c.X)))
-	normGap := float64(c.Gap) / float64(len(c.X))
-	return w.Confidence*c.Confidence - w.Diff*normDiff - w.Gap*normGap
+	normDiff := feature.ScaledDiff(x, s.p.Input, s.scales) / math.Sqrt(float64(len(x)))
+	normGap := float64(gap) / float64(len(x))
+	return w.Confidence*conf - w.Diff*normDiff - w.Gap*normGap
 }
 
 // axisProbes binary-searches each mutable feature axis for the smallest
@@ -414,7 +420,8 @@ func (s *search) beam() error {
 	start := s.p.Schema.Clamp(s.p.Input)
 	beam := []beamState{{x: start, conf: s.p.Model.Predict(start)}}
 	s.stats.Evaluations++
-	seen := map[string]struct{}{string(s.key(start)): {}}
+	seen := newKeyTable(keyBytes * d)
+	seen.insert(s.key(start))
 
 	// Moves are flat rows of d values. The beam's states point into the
 	// previous iteration's move arena while this iteration's moves are
@@ -447,11 +454,9 @@ func (s *search) beam() error {
 		for off := 0; off < len(moves); off += d {
 			mv := moves[off : off+d]
 			s.box.ClampInto(mv, s.p.Schema.ClampInto(mv, mv))
-			k := s.key(mv)
-			if _, dup := seen[string(k)]; dup {
+			if _, added := seen.insert(s.key(mv)); !added {
 				continue
 			}
-			seen[string(k)] = struct{}{}
 			copy(moves[kept*d:], mv)
 			kept++
 		}
@@ -508,11 +513,7 @@ func (s *search) beam() error {
 // states by scalarized quality shifted above any confidence.
 func (s *search) rank(st beamState) float64 {
 	if st.conf > s.p.Threshold {
-		return 10 + s.quality(Candidate{
-			X: st.x, Confidence: st.conf,
-			Diff: feature.Diff(st.x, s.p.Input),
-			Gap:  feature.Gap(st.x, s.p.Input),
-		})
+		return 10 + s.quality(st.x, feature.Gap(st.x, s.p.Input), st.conf)
 	}
 	return st.conf
 }
@@ -631,32 +632,33 @@ func (s *search) thresholdMoves(dst, x []float64, i int, thrs []float64) []float
 // every candidate's midpoint with one batch model call.
 func (s *search) shrinkPool() error {
 	var slots []int32
-	for i := range s.pool {
-		if s.pool[i].c.Diff > 0 {
-			slots = append(slots, int32(i))
+	for i := int32(0); i < int32(s.pool.len()); i++ {
+		if s.pool.entry(i).diff > 0 {
+			slots = append(slots, i)
 		}
 	}
 	if len(slots) == 0 {
 		return nil
 	}
 	// Deterministic iteration order.
-	sort.Slice(slots, func(a, b int) bool { return s.pool[slots[a]].key < s.pool[slots[b]].key })
-	// The shrink set is fixed before any round runs: an entry the rounds
-	// replace keeps its original vector here.
-	originals := make([][]float64, len(slots))
+	keys := s.pool.keys
+	sort.Slice(slots, func(a, b int) bool { return bytes.Compare(keys.key(slots[a]), keys.key(slots[b])) < 0 })
+	// The shrink set is fixed before any round runs, and its vectors are
+	// copied here: the rounds may overwrite an entry in place.
+	d := s.p.Schema.Dim()
+	originals := make([]float64, len(slots)*d)
 	for j, slot := range slots {
-		originals[j] = s.pool[slot].c.X
+		copy(originals[j*d:], s.pool.vec(slot))
 	}
-	lo := make([]float64, len(originals)) // fraction of the way input->candidate
-	hi := make([]float64, len(originals))
+	lo := make([]float64, len(slots)) // fraction of the way input->candidate
+	hi := make([]float64, len(slots))
 	for i := range hi {
 		hi[i] = 1
 	}
 	// Midpoints are drawn from one arena reused by every round; the pool
 	// copies those it keeps.
-	d := s.p.Schema.Dim()
-	arena := make([]float64, len(originals)*d)
-	rows := make([][]float64, len(originals))
+	arena := make([]float64, len(slots)*d)
+	rows := make([][]float64, len(slots))
 	for j := range rows {
 		rows[j] = arena[j*d : (j+1)*d : (j+1)*d]
 	}
@@ -664,16 +666,16 @@ func (s *search) shrinkPool() error {
 		if err := s.ctxErr(); err != nil {
 			return err
 		}
-		for j, x := range originals {
+		for j, row := range rows {
 			mid := (lo[j] + hi[j]) / 2
-			row := rows[j]
+			x := originals[j*d : (j+1)*d]
 			for i := range row {
 				row[i] = s.p.Input[i] + mid*(x[i]-s.p.Input[i])
 			}
 			s.p.Schema.ClampInto(row, row)
 		}
 		confs := s.predictBatch(rows)
-		for j := range originals {
+		for j := range rows {
 			if s.considerScored(rows[j], confs[j], s.stats.Iterations) {
 				hi[j] = (lo[j] + hi[j]) / 2
 			} else {
@@ -686,11 +688,11 @@ func (s *search) shrinkPool() error {
 
 // ranksBefore reports whether pool entry a ranks ahead of entry b: higher
 // quality first, ties broken by ascending key.
-func (s *search) ranksBefore(a, b int) bool {
-	if qa, qb := s.pool[a].c.q, s.pool[b].c.q; qa != qb {
+func (s *search) ranksBefore(a, b int32) bool {
+	if qa, qb := s.pool.entry(a).q, s.pool.entry(b).q; qa != qb {
 		return qa > qb
 	}
-	return s.pool[a].key < s.pool[b].key
+	return bytes.Compare(s.pool.keys.key(a), s.pool.keys.key(b)) < 0
 }
 
 // selectTopK picks K pool candidates by maximal marginal relevance:
@@ -699,52 +701,54 @@ func (s *search) ranksBefore(a, b int) bool {
 // ranksBefore, so it picks exactly what a scan of the rank-sorted pool
 // would, without sorting the pool.
 func (s *search) selectTopK() []Candidate {
+	n := int32(s.pool.len())
 	k, lambda := s.cfg.K, s.cfg.DiversityPenalty
-	if len(s.pool) <= k {
+	if int(n) <= k {
 		// The whole pool is returned, best-ranked first.
-		k, lambda = len(s.pool), 0
+		k, lambda = int(n), 0
 	}
 	sqrtD := math.Sqrt(float64(s.p.Schema.Dim()))
 	similarity := func(a, b []float64) float64 {
 		d := feature.ScaledDiff(a, b, s.scales) / sqrtD
 		return 1 / (1 + 10*d)
 	}
-	picked := make([]bool, len(s.pool))
+	picked := make([]bool, n)
 	// maxSim[i] tracks each unpicked candidate's similarity to the closest
 	// already-selected one; it is updated incrementally as candidates are
 	// selected, so each MMR round computes one new similarity per candidate
 	// instead of rescanning the whole selected set.
 	var maxSim []float64
 	if lambda != 0 {
-		maxSim = make([]float64, len(s.pool))
+		maxSim = make([]float64, n)
 	}
 	selected := make([]Candidate, 0, k)
-	last := -1
+	var lastX []float64 // the vector selected last
 	for len(selected) < k {
-		best, bestScore := -1, 0.0
-		for i := range s.pool {
+		best, bestScore := int32(-1), 0.0
+		for i := int32(0); i < n; i++ {
 			if picked[i] {
 				continue
 			}
-			c := &s.pool[i].c
-			score := c.q
-			if lambda != 0 && last >= 0 {
-				if sim := similarity(c.X, s.pool[last].c.X); len(selected) == 1 || sim > maxSim[i] {
+			q := s.pool.entry(i).q
+			score := q
+			if lambda != 0 && lastX != nil {
+				if sim := similarity(s.pool.vec(i), lastX); len(selected) == 1 || sim > maxSim[i] {
 					maxSim[i] = sim
 				}
-				score = (1-lambda)*c.q - lambda*maxSim[i]
+				score = (1-lambda)*q - lambda*maxSim[i]
 			}
 			if best < 0 || score > bestScore || score == bestScore && s.ranksBefore(i, best) {
 				best, bestScore = i, score
 			}
 		}
 		picked[best] = true
-		last = best
-		c := s.pool[best].c
+		lastX = s.pool.vec(best)
+		e := s.pool.entry(best)
 		// The pool's vectors share arena chunks; hand out copies so the
 		// caller does not pin them.
-		c.X = feature.Clone(c.X)
-		selected = append(selected, c)
+		selected = append(selected, Candidate{
+			X: feature.Clone(lastX), Diff: e.diff, Gap: e.gap, Confidence: e.conf, q: e.q,
+		})
 	}
 	if lambda != 0 {
 		// Present best-quality first.

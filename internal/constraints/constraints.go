@@ -156,6 +156,20 @@ func (n refNode) eval(ctx *Context) (cval, error) {
 	}
 }
 
+// indexNode is a refNode that Bind resolved against a schema: it reads
+// the attribute's vector index directly instead of looking its name up.
+type indexNode struct {
+	i   int
+	old bool
+}
+
+func (n indexNode) eval(ctx *Context) (cval, error) {
+	if n.old {
+		return numVal(ctx.Original[n.i]), nil
+	}
+	return numVal(ctx.Candidate[n.i]), nil
+}
+
 type arithNode struct {
 	op   byte // + - * /
 	l, r node

@@ -1,6 +1,9 @@
 package constraints
 
 import (
+	"fmt"
+	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -296,5 +299,152 @@ func TestEpsilonToleranceOnEquality(t *testing.T) {
 	}
 	if !evalSrc(t, "gap = 0", ctx) {
 		t.Error("sub-epsilon change should not count toward gap")
+	}
+}
+
+// exprGen writes random constraint source over a small schema: every node
+// kind, the special attributes, unknown names, and (with mixed set) the
+// occasional condition where a number belongs, so some expressions fail.
+type exprGen struct {
+	rng   *rand.Rand
+	mixed bool
+}
+
+var genNames = []string{"a", "b", "c", "diff", "gap", "confidence", "time", "nosuch"}
+
+func (g *exprGen) num(depth int) string {
+	if g.mixed && g.rng.Intn(12) == 0 {
+		return "(" + g.cond(depth) + ")"
+	}
+	if depth <= 0 {
+		switch g.rng.Intn(3) {
+		case 0:
+			return strconv.Itoa(g.rng.Intn(4))
+		case 1:
+			return fmt.Sprintf("old(%s)", genNames[g.rng.Intn(len(genNames))])
+		default:
+			return genNames[g.rng.Intn(len(genNames))]
+		}
+	}
+	switch g.rng.Intn(5) {
+	case 0:
+		return g.num(0)
+	case 1:
+		return fmt.Sprintf("(%s %c %s)", g.num(depth-1), "+-*/"[g.rng.Intn(4)], g.num(depth-1))
+	case 2:
+		return "-(" + g.num(depth-1) + ")" // "--" would open a comment
+	case 3:
+		return fmt.Sprintf("abs(%s)", g.num(depth-1))
+	default:
+		return fmt.Sprintf("%s(%s, %s)", []string{"min", "max"}[g.rng.Intn(2)], g.num(depth-1), g.num(depth-1))
+	}
+}
+
+func (g *exprGen) cond(depth int) string {
+	if g.mixed && g.rng.Intn(12) == 0 {
+		return g.num(depth)
+	}
+	switch g.rng.Intn(4) {
+	case 0, 1:
+		return fmt.Sprintf("%s %s %s", g.num(depth-1), cmpOps[g.rng.Intn(len(cmpOps))], g.num(depth-1))
+	case 2:
+		if depth <= 0 {
+			return g.cond(depth)
+		}
+		return fmt.Sprintf("(%s) %s (%s)", g.cond(depth-1), []string{"AND", "OR"}[g.rng.Intn(2)], g.cond(depth-1))
+	default:
+		return fmt.Sprintf("NOT (%s)", g.cond(depth-1))
+	}
+}
+
+// unboundRefs lists the refNodes under n that name a schema attribute.
+func unboundRefs(n node, schema *feature.Schema) []string {
+	switch nd := n.(type) {
+	case refNode:
+		if _, ok := schema.Index(nd.name); ok {
+			return []string{nd.name}
+		}
+	case arithNode:
+		return append(unboundRefs(nd.l, schema), unboundRefs(nd.r, schema)...)
+	case cmpNode:
+		return append(unboundRefs(nd.l, schema), unboundRefs(nd.r, schema)...)
+	case logicNode:
+		return append(unboundRefs(nd.l, schema), unboundRefs(nd.r, schema)...)
+	case negNode:
+		return unboundRefs(nd.e, schema)
+	case notNode:
+		return unboundRefs(nd.e, schema)
+	case funcNode:
+		var out []string
+		for _, a := range nd.args {
+			out = append(out, unboundRefs(a, schema)...)
+		}
+		return out
+	}
+	return nil
+}
+
+// TestBindMatchesUnbound: over random sets of random constraints and
+// random candidates, a bound set gives the same verdict and the same
+// error-ness as the set it was bound from, and no schema attribute is
+// left to resolve by name.
+func TestBindMatchesUnbound(t *testing.T) {
+	schema, err := feature.NewSchema(
+		feature.Field{Name: "a", Kind: feature.Integer, Min: 0, Max: 3},
+		feature.Field{Name: "b", Kind: feature.Continuous, Min: 0, Max: 3},
+		feature.Field{Name: "c", Kind: feature.Continuous, Min: -3, Max: 3},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(9))
+	g := &exprGen{rng: rng}
+	verdicts := map[string]int{}
+	for round := 0; round < 3000; round++ {
+		g.mixed = round%2 == 1
+		set := NewSet()
+		for n := 1 + rng.Intn(3); n > 0; n-- {
+			src := g.cond(1 + rng.Intn(3))
+			c, err := Parse(src)
+			if err != nil {
+				t.Fatalf("generated %q does not parse: %v", src, err)
+			}
+			if rng.Intn(3) == 0 {
+				set.AddAt(c, rng.Intn(3))
+			} else {
+				set.Add(c)
+			}
+		}
+		bound := set.Bind(schema)
+		for _, tc := range bound.items {
+			if refs := unboundRefs(tc.C.root, schema); len(refs) > 0 {
+				t.Fatalf("%q: Bind left %v unbound", tc.C, refs)
+			}
+		}
+		for trial := 0; trial < 8; trial++ {
+			point := func() []float64 {
+				return []float64{float64(rng.Intn(4)), float64(rng.Intn(7)) / 2, float64(rng.Intn(7) - 3)}
+			}
+			ctx := &Context{Schema: schema, Original: point(), Candidate: point(), Time: rng.Intn(3), Confidence: float64(rng.Intn(3)) / 2}
+			want, wantErr := set.Eval(ctx)
+			got, gotErr := bound.Eval(ctx)
+			if got != want || (gotErr != nil) != (wantErr != nil) {
+				t.Fatalf("%s at %+v: bound gives %v, %v; unbound %v, %v", set, ctx, got, gotErr, want, wantErr)
+			}
+			switch {
+			case wantErr != nil:
+				verdicts["error"]++
+			case want:
+				verdicts["true"]++
+			default:
+				verdicts["false"]++
+			}
+		}
+	}
+	t.Logf("verdicts: %v", verdicts)
+	for _, v := range []string{"true", "false", "error"} {
+		if verdicts[v] < 1000 {
+			t.Fatalf("verdicts %v: too few %q cases to compare", verdicts, v)
+		}
 	}
 }

@@ -66,6 +66,48 @@ func Merge(a, b *Set) *Set {
 	return out
 }
 
+// Bind returns a copy of the set in which every attribute reference the
+// schema knows, old(...) included, reads its vector index directly rather
+// than resolving its name on every evaluation. Any other name (diff, gap,
+// confidence, time, or an unknown attribute) is left as it is, so the bound
+// set gives the same verdict and the same errors as s. The copy must only
+// be evaluated with contexts over schema, and Box needs the unbound set: it
+// recognises attribute references by name.
+func (s *Set) Bind(schema *feature.Schema) *Set {
+	out := &Set{items: make([]Timed, len(s.items))}
+	for i, tc := range s.items {
+		out.items[i] = Timed{C: &Constraint{root: bind(tc.C.root, schema), src: tc.C.src}, Times: tc.Times}
+	}
+	return out
+}
+
+// bind rewrites n's schema attribute references into indexNodes.
+func bind(n node, schema *feature.Schema) node {
+	switch nd := n.(type) {
+	case refNode:
+		if i, ok := schema.Index(nd.name); ok {
+			return indexNode{i: i, old: nd.old}
+		}
+	case arithNode:
+		return arithNode{op: nd.op, l: bind(nd.l, schema), r: bind(nd.r, schema)}
+	case negNode:
+		return negNode{e: bind(nd.e, schema)}
+	case cmpNode:
+		return cmpNode{op: nd.op, l: bind(nd.l, schema), r: bind(nd.r, schema)}
+	case logicNode:
+		return logicNode{and: nd.and, l: bind(nd.l, schema), r: bind(nd.r, schema)}
+	case notNode:
+		return notNode{e: bind(nd.e, schema)}
+	case funcNode:
+		args := make([]node, len(nd.args))
+		for i, a := range nd.args {
+			args[i] = bind(a, schema)
+		}
+		return funcNode{name: nd.name, args: args}
+	}
+	return n
+}
+
 // Len returns the number of constraints in the set.
 func (s *Set) Len() int { return len(s.items) }
 
