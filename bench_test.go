@@ -113,6 +113,50 @@ func BenchmarkDemoJourney(b *testing.B) {
 	}
 }
 
+// --- Session creation at jitd's defaults (the perfbench journey's create).
+
+// journeyDemo is jitd's default system: KI logistic models over 12 eras of
+// 1200 rows, T = 3, top-8, seed 1, the bank's domain rule.
+var journeyDemo struct {
+	once sync.Once
+	demo *LoanDemo
+	err  error
+}
+
+// journeyMenus are the user-constraint menus perfbench's profiles cycle
+// through.
+var journeyMenus = [][]string{
+	nil,
+	{"income <= old(income) * 1.4"},
+	{"debt >= old(debt) * 0.5"},
+	{"amount >= old(amount) * 0.8", "income <= old(income) * 1.6"},
+}
+
+func BenchmarkNewSessionJourney(b *testing.B) {
+	journeyDemo.once.Do(func() {
+		journeyDemo.demo, journeyDemo.err = NewLoanDemo(DefaultLoanDemoConfig())
+	})
+	if journeyDemo.err != nil {
+		b.Fatal(journeyDemo.err)
+	}
+	sys := journeyDemo.demo.System
+	prefs := make([]*ConstraintSet, len(journeyMenus))
+	for i, menu := range journeyMenus {
+		prefs[i] = NewConstraintSet()
+		for _, src := range menu {
+			prefs[i].Add(MustParseConstraint(src))
+		}
+	}
+	profiles := RejectedProfiles()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sys.NewSession(profiles[i%len(profiles)], prefs[i%len(prefs)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // --- E4: future-model generation per method.
 
 func BenchmarkFutureModels(b *testing.B) {
