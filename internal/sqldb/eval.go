@@ -100,9 +100,9 @@ type executor struct {
 	noMemo bool
 
 	// adhoc marks a statement parsed for this execution alone
-	// (PrepareAdHoc, DB.Query, DB.Exec): its plans go to adhocPlans, which dies with the executor,
-	// instead of the DB's cache, where its AST could never be looked up
-	// again.
+	// (PrepareAdHoc): its plans go to adhocPlans, which dies with the
+	// executor, instead of the DB's cache, where its AST could never be
+	// looked up again.
 	adhoc      bool
 	adhocPlans *planCache
 }

@@ -22,9 +22,9 @@ import (
 //
 // Ad-hoc statements (PrepareAdHoc, DB.Query, DB.Exec) parse a fresh AST
 // that never runs again, so their plans live in a cache on the executor
-// instead: it still
-// serves a subquery re-planned within the statement, and it is dropped with
-// the statement rather than pinning dead ASTs in the DB's cache.
+// instead: it still serves a subquery re-planned within the statement, and
+// it is dropped with the statement rather than pinning dead ASTs in the
+// DB's cache.
 
 // planCacheCap bounds entries per cache so churn through many prepared
 // statements cannot grow the map without bound; overflow evicts an
