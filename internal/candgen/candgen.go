@@ -228,6 +228,10 @@ func GenerateContext(ctx context.Context, p Problem, cfg Config) ([]Candidate, S
 // define the model-dependent move set.
 type thresholder interface{ Thresholds() map[int][]float64 }
 
+// gradient is implemented by differentiable models (logistic regression)
+// whose probability gradient defines the model-dependent move set.
+type gradient interface{ Gradient(x []float64) []float64 }
+
 // poolEntry is one distinct feasible candidate's objectives and quality;
 // its vector is stored in the pool's arena.
 type poolEntry struct {
@@ -418,19 +422,25 @@ type beamState struct {
 func (s *search) beam() error {
 	d := s.p.Schema.Dim()
 	start := s.p.Schema.Clamp(s.p.Input)
-	beam := []beamState{{x: start, conf: s.p.Model.Predict(start)}}
-	s.stats.Evaluations++
 	seen := newKeyTable(keyBytes * d)
 	seen.insert(s.key(start))
 
 	// Moves are flat rows of d values. The beam's states point into the
 	// previous iteration's move arena while this iteration's moves are
-	// written to the other one; the two swap after every iteration.
-	var moves, prevMoves, scoredBuf []float64
-	var scored [][]float64
-	var next []beamState
-	var ranks []float64
-	var order []int
+	// written to the other one; the two swap after every iteration. At most
+	// BeamWidth states propose at most movesPerState moves each, so the
+	// scratch is sized once here and no append below grows it.
+	n := s.cfg.BeamWidth * s.movesPerState()
+	moves := make([]float64, 0, n*d)
+	prevMoves := make([]float64, 0, n*d)
+	scoredBuf := make([]float64, 0, n*d)
+	scored := make([][]float64, 0, n)
+	next := make([]beamState, 0, n)
+	ranks := make([]float64, 0, n)
+	order := make([]int, 0, n)
+	beam := make([]beamState, 1, s.cfg.BeamWidth)
+	beam[0] = beamState{x: start, conf: s.p.Model.Predict(start)}
+	s.stats.Evaluations++
 	bestObjective := math.Inf(-1)
 	sincImprove := 0
 	for iter := 1; iter <= s.cfg.MaxIters; iter++ {
@@ -525,6 +535,23 @@ var (
 	coordinateFracs = [...]float64{0.02, 0.1, 0.3}
 )
 
+// movesPerState bounds the number of moves proposeMoves appends for one
+// state.
+func (s *search) movesPerState() int {
+	m := len(s.mutable)
+	n := 2 * len(coordinateFracs) * m
+	if s.thresholds != nil {
+		n += 4 * m // the nearest 2 thresholds above and 2 below
+	}
+	if _, ok := s.p.Model.(gradient); ok {
+		n += len(gradientFracs)
+	}
+	if m >= 2 {
+		n += 2 // random two-feature moves
+	}
+	return n
+}
+
 // pushMove appends a copy of x to the flat move buffer dst and returns the
 // grown buffer and the new row; the row is valid until the next append.
 func pushMove(dst, x []float64) ([]float64, []float64) {
@@ -547,7 +574,6 @@ func (s *search) proposeMoves(dst, x []float64) []float64 {
 	}
 
 	// Logistic heuristic: step along the probability gradient.
-	type gradient interface{ Gradient(x []float64) []float64 }
 	if gm, ok := s.p.Model.(gradient); ok {
 		g := gm.Gradient(x)
 		// Normalize per-feature by range so one step moves each

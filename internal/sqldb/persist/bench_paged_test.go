@@ -56,7 +56,7 @@ func benchTemplate(b *testing.B, paged bool) string {
 
 // copyStoreDir clones a template store directory (flat: snapshot, WAL, page
 // and spill files) so each "session" owns its files.
-func copyStoreDir(b *testing.B, src, dst string) {
+func copyStoreDir(b testing.TB, src, dst string) {
 	b.Helper()
 	if err := os.MkdirAll(dst, 0o755); err != nil {
 		b.Fatal(err)

@@ -15,6 +15,7 @@ import (
 	"hash/crc32"
 	"io"
 
+	"justintime/internal/fault"
 	"justintime/internal/sqldb"
 )
 
@@ -213,6 +214,23 @@ func frameBytes(payload []byte) []byte {
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
 	copy(frame[8:], payload)
 	return frame
+}
+
+// minReadBuffer is the smallest buffer fileReader gives a file.
+const minReadBuffer = 4 << 10
+
+// fileReader returns a buffered reader over f sized to the file, so reading
+// a log of a few KiB does not allocate a buffer of a MiB: the file's size,
+// at least minReadBuffer and at most limit bytes (limit when Stat fails).
+func fileReader(f fault.File, limit int) *bufio.Reader {
+	size := limit
+	if fi, err := f.Stat(); err == nil && fi.Size() < int64(limit) {
+		size = int(fi.Size())
+		if size < minReadBuffer {
+			size = minReadBuffer
+		}
+	}
+	return bufio.NewReaderSize(f, size)
 }
 
 // readFrame reads one framed payload. A clean end of file (EOF before the

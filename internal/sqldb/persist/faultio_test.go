@@ -2,6 +2,7 @@ package persist
 
 import (
 	"errors"
+	"path/filepath"
 	"reflect"
 	"syscall"
 	"testing"
@@ -143,5 +144,75 @@ func TestTornWALAppendDroppedOnReplay(t *testing.T) {
 	got := db2.Dump()
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("recovered state is not the acked prefix:\ngot:  %#v\nwant: %#v", got, want)
+	}
+}
+
+// TestFailedWALAppendStaysFailedUntilCheckpoint: after a WAL append that
+// fails (a full disk) or is torn mid-frame, the log refuses every later
+// append, even once the fault has cleared, because the file may hold a
+// partial frame at its tail. A checkpoint folds the live state into a new
+// snapshot and resets the log, after which appends succeed again. Until
+// then, a reopen recovers exactly the acknowledged writes.
+func TestFailedWALAppendStaysFailedUntilCheckpoint(t *testing.T) {
+	cases := []struct {
+		name string
+		rule fault.Rule
+		want error
+	}{
+		{"enospc", fault.Rule{Op: fault.OpWrite, Path: WALFile, Nth: 1, Times: 1, Err: fault.ErrNoSpace}, fault.ErrNoSpace},
+		{"torn", fault.Rule{Op: fault.OpWrite, Path: WALFile, Nth: 1, Times: 1, Torn: 5}, fault.ErrIO},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			db := fixtureDB(t)
+			inj := fault.NewInjector(nil)
+			st, err := Create(dir, db, Options{FS: inj})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			if _, err := db.Exec("INSERT INTO items VALUES (80, 'acked', 8.5, TRUE)"); err != nil {
+				t.Fatal(err)
+			}
+			acked := db.Dump()
+
+			inj.AddRule(c.rule)
+			if _, err := db.Exec("INSERT INTO items VALUES (81, 'failed', 0.5, FALSE)"); !errors.Is(err, c.want) {
+				t.Fatalf("faulted append: got %v, want %v", err, c.want)
+			}
+			// The rule is spent, but the log still refuses the append.
+			if _, err := db.Exec("INSERT INTO items VALUES (82, 'refused', 1.5, TRUE)"); !errors.Is(err, c.want) {
+				t.Fatalf("append after the fault: got %v, want %v", err, c.want)
+			}
+
+			// A reopen of the files as they stand sees only acked writes.
+			cp := filepath.Join(t.TempDir(), "copy")
+			copyStoreDir(t, dir, cp)
+			db2, st2, err := Open(cp, Options{})
+			if err != nil {
+				t.Fatalf("reopen after failed append: %v", err)
+			}
+			if got := db2.Dump(); !reflect.DeepEqual(got, acked) {
+				t.Fatalf("reopen is not the acked state:\ngot:  %#v\nwant: %#v", got, acked)
+			}
+			st2.Close()
+
+			if err := st.Checkpoint(); err != nil {
+				t.Fatalf("checkpoint after failed append: %v", err)
+			}
+			if _, err := db.Exec("INSERT INTO items VALUES (83, 'after', 2.5, FALSE)"); err != nil {
+				t.Fatalf("append after checkpoint: %v", err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			db3, st3, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatalf("reopen after checkpoint: %v", err)
+			}
+			defer st3.Close()
+			sameDump(t, db, db3)
+		})
 	}
 }

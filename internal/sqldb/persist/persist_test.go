@@ -10,7 +10,7 @@ import (
 	"justintime/internal/sqldb"
 )
 
-func fixtureDB(t *testing.T) *sqldb.DB {
+func fixtureDB(t testing.TB) *sqldb.DB {
 	t.Helper()
 	db := sqldb.New()
 	db.MustExec("CREATE TABLE items (id INT, name TEXT, score FLOAT, ok BOOL)")

@@ -103,7 +103,7 @@ func scanWAL(path string) (epoch uint64, good int64, ok bool, err error) {
 		return 0, 0, false, err
 	}
 	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<20)
+	r := fileReader(f, 1<<20)
 	hdr := make([]byte, walHeaderLen)
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, 0, false, nil // empty or torn before the header

@@ -204,7 +204,7 @@ func readSnapshotRefs(fsys fault.FS, path string) (*sqldb.Dump, []pagedTableRef,
 		return nil, nil, 0, err
 	}
 	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<16)
+	r := fileReader(f, 1<<16)
 	magic := make([]byte, len(snapshotMagic))
 	if _, err := io.ReadFull(r, magic); err != nil || !bytes.Equal(magic, snapshotMagic) {
 		if err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {

@@ -1,7 +1,6 @@
 package persist
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -72,10 +71,13 @@ var errWALClosed = errors.New("persist: WAL is closed")
 type WAL struct {
 	mu    sync.Mutex
 	f     fault.File
-	w     *bufio.Writer
 	mode  SyncMode
 	size  int64  // current valid length, including header
 	epoch uint64 // checkpoint epoch carried in the file header
+	// err is the first failed or short write since the last Reset. The
+	// file may then end in part of a frame, so every later append, Sync
+	// and Close reports it until Reset rewrites the log.
+	err error
 	// onAppend, when set, observes every appended record as the exact framed
 	// bytes that landed in the file, with the epoch and the file offset the
 	// frame starts at — the hook WAL shipping attaches to. Called in append
@@ -147,7 +149,6 @@ func openWAL(fsys fault.FS, path string, db *sqldb.DB, epoch uint64, mode SyncMo
 	}
 	return &WAL{
 		f:       f,
-		w:       bufio.NewWriterSize(f, 1<<16),
 		mode:    mode,
 		size:    good,
 		epoch:   epoch,
@@ -179,7 +180,7 @@ func replayOnto(f fault.File, db *sqldb.DB, epoch uint64) (good int64, replayed 
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return 0, 0, err
 	}
-	r := bufio.NewReaderSize(f, 1<<20)
+	r := fileReader(f, 1<<20)
 	hdr := make([]byte, walHeaderLen)
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, 0, nil // empty or torn before the header: treat as empty
@@ -262,27 +263,22 @@ func (w *WAL) append(payload []byte) error {
 	if w.closed {
 		return errWALClosed
 	}
+	if w.err != nil {
+		return fmt.Errorf("persist: wal append: %w", w.err)
+	}
 	off := w.size
-	var frame []byte
-	var n int
-	var err error
-	if w.onAppend != nil {
-		// Materialize the frame so the shipping hook sees the exact bytes
-		// that landed on disk (offset-addressed replication needs them
-		// verbatim).
-		frame = frameBytes(payload)
-		_, err = w.w.Write(frame)
-		n = len(frame)
-	} else {
-		n, err = writeFrame(w.w, payload)
+	// One write per record, so the kernel has it when append returns (a
+	// killed process loses nothing); fsync per record only in SyncAlways.
+	// The shipping hook sees these exact bytes (offset-addressed
+	// replication needs them verbatim).
+	frame := frameBytes(payload)
+	n, err := w.f.Write(frame)
+	if err == nil && n < len(frame) {
+		err = io.ErrShortWrite
 	}
 	if err != nil {
+		w.err = err
 		return fmt.Errorf("persist: wal append: %w", err)
-	}
-	// Always drain the bufio layer so the kernel has the record (a killed
-	// process loses nothing); fsync per record only in SyncAlways.
-	if err := w.w.Flush(); err != nil {
-		return fmt.Errorf("persist: wal flush: %w", err)
 	}
 	if w.mode == SyncAlways {
 		if err := w.syncTimed(); err != nil {
@@ -339,7 +335,7 @@ func (w *WAL) LogCreateIndex(name, table, column string) error {
 	return w.append(e.buf)
 }
 
-// Sync forces buffered records to stable storage (a batched-mode flush
+// Sync forces written records to stable storage (a batched-mode flush
 // point).
 func (w *WAL) Sync() error {
 	w.mu.Lock()
@@ -347,8 +343,8 @@ func (w *WAL) Sync() error {
 	if w.closed {
 		return errWALClosed
 	}
-	if err := w.w.Flush(); err != nil {
-		return err
+	if w.err != nil {
+		return w.err
 	}
 	return w.syncTimed()
 }
@@ -371,7 +367,7 @@ func (w *WAL) Reset(epoch uint64) error {
 	if w.closed {
 		return errWALClosed
 	}
-	w.w.Reset(w.f) // discard any buffered bytes; they are in the snapshot now
+	w.err = nil // the header rewrite drops any partial frame
 	if err := writeWALHeader(w.f, epoch); err != nil {
 		return w.poisonLocked(err)
 	}
@@ -398,7 +394,7 @@ func (w *WAL) Size() int64 {
 	return w.size
 }
 
-// Close flushes, fsyncs and closes the log file. Further appends error.
+// Close fsyncs and closes the log file. Further appends error.
 func (w *WAL) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -406,7 +402,7 @@ func (w *WAL) Close() error {
 		return nil
 	}
 	w.closed = true
-	err := w.w.Flush()
+	err := w.err
 	if serr := w.f.Sync(); err == nil {
 		err = serr
 	}
