@@ -536,7 +536,8 @@ var (
 )
 
 // movesPerState bounds the number of moves proposeMoves appends for one
-// state.
+// state. The beam sizes its scratch from it; a move past the bound would
+// only make an append grow a buffer.
 func (s *search) movesPerState() int {
 	m := len(s.mutable)
 	n := 2 * len(coordinateFracs) * m

@@ -206,8 +206,9 @@ func writeFrame(w io.Writer, payload []byte) (int, error) {
 }
 
 // frameBytes returns the exact on-disk framing of payload as one slice —
-// what writeFrame would emit. Used where the framed bytes themselves are
-// needed (WAL shipping addresses records by file offset).
+// what writeFrame would emit. The WAL writes it with one call and hands the
+// same bytes to the shipping hook (WAL shipping addresses records by file
+// offset).
 func frameBytes(payload []byte) []byte {
 	frame := make([]byte, 8+len(payload))
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
