@@ -349,8 +349,8 @@ func (s *search) considerScored(x []float64, conf float64, iter int) bool {
 // deduplicating near-identical pool entries. The key is a fixed-width
 // little-endian encoding of the rounded coordinates, built in a reused
 // scratch buffer that stays valid until the next call: this runs once per
-// proposed move, so it must not allocate. Shrink order and quality ties
-// compare keys byte by byte, so the encoding must not change.
+// proposed move, so it must not allocate. Quality ties compare keys byte
+// by byte, so the encoding must not change.
 func (s *search) key(x []float64) []byte {
 	buf := s.keyBuf[:0]
 	for i, v := range x {
@@ -667,9 +667,11 @@ func (s *search) shrinkPool() error {
 	if len(slots) == 0 {
 		return nil
 	}
-	// Deterministic iteration order.
-	keys := s.pool.keys
-	sort.Slice(slots, func(a, b int) bool { return bytes.Compare(keys.key(slots[a]), keys.key(slots[b])) < 0 })
+	// Slots are walked in insertion order, which is deterministic. The
+	// order barely matters anyway: a key's entry is replaced only by a
+	// strictly better q, so each key ends with its best candidate whichever
+	// midpoint arrives first (only an exact tie in q keeps the earlier one).
+	//
 	// The shrink set is fixed before any round runs, and its vectors are
 	// copied here: the rounds may overwrite an entry in place.
 	d := s.p.Schema.Dim()

@@ -123,7 +123,7 @@ func (p *persister) create(id string, sess *core.Session, constraintSrcs []strin
 	if err := p.fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	meta := sessionMeta{Profile: sess.Profile(), Constraints: constraintSrcs, CreatedAt: time.Now().UTC()}
+	meta := sessionMeta{Profile: sess.Profile(), Constraints: constraintSrcs, CreatedAt: time.Now().UTC().Truncate(time.Second)}
 	if err := writeFileAtomic(p.fs, filepath.Join(dir, metaFile), meta); err != nil {
 		p.fs.RemoveAll(dir)
 		return nil, err

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -220,6 +221,37 @@ func TestDeleteRemovesOnDiskFiles(t *testing.T) {
 	// A traversal-shaped id must not touch the filesystem.
 	if code := del("..%2F..%2Fetc"); code != http.StatusNotFound {
 		t.Fatalf("traversal id: %d, want 404", code)
+	}
+}
+
+// TestMetaFileIsFixedWidth checks that meta.json's length does not depend
+// on when a session was created: created_at is stored in whole seconds, so
+// two creates of the same profile write files of equal length.
+func TestMetaFileIsFixedWidth(t *testing.T) {
+	dataDir := t.TempDir()
+	h := NewWithConfig(demoSystem(t), Config{DataDir: dataDir})
+	srv := httptest.NewServer(h)
+	t.Cleanup(srv.Close)
+	t.Cleanup(func() { h.Close() })
+
+	var sizes []int
+	for i := 0; i < 2; i++ {
+		id := createSession(t, srv, []string{"income <= old(income) * 1.5"})
+		b, err := os.ReadFile(filepath.Join(dataDir, "sessions", id, metaFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var meta sessionMeta
+		if err := json.Unmarshal(b, &meta); err != nil {
+			t.Fatal(err)
+		}
+		if meta.CreatedAt.Nanosecond() != 0 {
+			t.Errorf("created_at %s has a fraction of a second", meta.CreatedAt.Format(time.RFC3339Nano))
+		}
+		sizes = append(sizes, len(b))
+	}
+	if sizes[0] != sizes[1] {
+		t.Fatalf("meta.json sizes %v differ between two creates", sizes)
 	}
 }
 

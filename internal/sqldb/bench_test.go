@@ -421,3 +421,81 @@ func BenchmarkInsertSQL(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkIndexBuild rebuilds the seven lazy indexes (and their stats) a
+// session database carries, on a 32-row candidates-shaped table over four
+// time points: the work a rehydrated session pays on its first asks.
+// B/op is the memory the indexes hold plus the build's scratch.
+func BenchmarkIndexBuild(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	feats := []string{"age", "household", "income", "debt", "seniority", "amount"}
+	const times = 4
+	db := New()
+	tiCols := []Column{{Name: "time", Type: IntType}}
+	for _, f := range feats {
+		tiCols = append(tiCols, Column{Name: f, Type: FloatType})
+	}
+	candCols := append(append([]Column(nil), tiCols...),
+		Column{Name: "diff", Type: FloatType}, Column{Name: "gap", Type: IntType}, Column{Name: "p", Type: FloatType})
+	if err := db.CreateTable("temporal_inputs", tiCols); err != nil {
+		b.Fatal(err)
+	}
+	if err := db.CreateTable("candidates", candCols); err != nil {
+		b.Fatal(err)
+	}
+	for _, ix := range []struct {
+		name, table string
+		cols        []string
+	}{
+		{"temporal_inputs_time", "temporal_inputs", []string{"time"}},
+		{"candidates_time", "candidates", []string{"time"}},
+		{"candidates_diff", "candidates", []string{"diff"}},
+		{"candidates_diff_time", "candidates", []string{"diff", "time"}},
+		{"candidates_p", "candidates", []string{"p"}},
+		{"candidates_gap_diff", "candidates", []string{"gap", "diff"}},
+		{"candidates_time_p", "candidates", []string{"time", "p"}},
+	} {
+		if err := db.CreateIndex(ix.name, ix.table, ix.cols...); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ti := make([][]Value, times)
+	for t := range ti {
+		ti[t] = []Value{Int(int64(t))}
+		for range feats {
+			ti[t] = append(ti[t], Float(float64(rng.Intn(50000))))
+		}
+	}
+	cand := make([][]Value, 32)
+	for i := range cand {
+		row := []Value{Int(int64(i * times / len(cand)))}
+		for range feats {
+			row = append(row, Float(float64(rng.Intn(50000))))
+		}
+		gap := rng.Intn(3)
+		diff := 0.0
+		if gap > 0 {
+			diff = rng.Float64() * 20000
+		}
+		cand[i] = append(row, Float(diff), Int(int64(gap)), Float(0.5+rng.Float64()/2))
+	}
+	if err := db.InsertRows("temporal_inputs", ti); err != nil {
+		b.Fatal(err)
+	}
+	if err := db.InsertRows("candidates", cand); err != nil {
+		b.Fatal(err)
+	}
+	tables := []*Table{db.tables["temporal_inputs"], db.tables["candidates"]}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, t := range tables {
+			for _, ix := range t.indexes {
+				ix.built = 0 // stale: the next ensure rebuilds
+				if err := ix.ensure(t); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+}

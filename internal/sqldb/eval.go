@@ -366,17 +366,17 @@ func arith(l, r Value, op string) (Value, error) {
 	switch op {
 	case "+":
 		if bothInt {
-			return Int(l.i + r.i), nil
+			return Int(l.i() + r.i()), nil
 		}
 		return Float(lf + rf), nil
 	case "-":
 		if bothInt {
-			return Int(l.i - r.i), nil
+			return Int(l.i() - r.i()), nil
 		}
 		return Float(lf - rf), nil
 	case "*":
 		if bothInt {
-			return Int(l.i * r.i), nil
+			return Int(l.i() * r.i()), nil
 		}
 		return Float(lf * rf), nil
 	case "/":
@@ -389,7 +389,7 @@ func arith(l, r Value, op string) (Value, error) {
 			return Null(), nil
 		}
 		if bothInt {
-			return Int(l.i % r.i), nil
+			return Int(l.i() % r.i()), nil
 		}
 		return Float(math.Mod(lf, rf)), nil
 	default:

@@ -1,22 +1,23 @@
 package sqldb
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
 
-// tableIndex is a secondary index over one or more columns: a hash table
-// from full key tuples to row positions for equality lookups, plus the
-// distinct key tuples in lexicographic sorted order for range scans, prefix
-// scans and top-k streaming. A row is excluded from the key structures when
-// ANY indexed column is NULL (no comparison matches a NULL); the excluded
-// rows are remembered in nullRows so prefix scans that constrain only a
-// leading subset of the columns can still return a superset of the matching
-// rows, and so top-k scans can place NULL order keys first or last.
+// tableIndex is a secondary index over one or more columns, stored flat:
+// the distinct key tuples in lexicographic sorted order (by Compare) back
+// equality lookups (binary search), range scans, prefix scans and top-k
+// streaming, and each tuple owns a run of row positions. A row is excluded
+// from the key structures when ANY indexed column is NULL (no comparison
+// matches a NULL); the excluded rows are remembered in nullRows so prefix
+// scans that constrain only a leading subset of the columns can still
+// return a superset of the matching rows, and so top-k scans can place NULL
+// order keys first or last.
 //
 // The index is built lazily: lookups call ensure, which compares the
 // version the index was built at against the table's mutation counter and
@@ -28,18 +29,23 @@ type tableIndex struct {
 	name string
 	cols []int // indexed column positions, most significant first
 
-	mu      sync.Mutex
-	built   uint64 // table version the structures below reflect; 0 = never
-	hash    map[string][]int
-	keys    [][]Value // distinct key tuples, sorted lexicographically by Compare
-	keyRows [][]int   // row positions per key, aligned with keys, ascending
+	mu    sync.Mutex
+	built uint64 // table version the structures below reflect; 0 = never
+	// keys holds the distinct key tuples in sorted order, flattened: tuple
+	// ki is keys[ki*w:(ki+1)*w] with w = len(cols) (see key). Each tuple
+	// carries the values of its lowest row position.
+	keys []Value
+	// rows holds the positions of the keyed rows in key order, ascending
+	// within each key; tuple ki owns rows[starts[ki]:starts[ki+1]] (see
+	// keyRows), so starts has one entry more than there are keys.
+	rows   []int
+	starts []int32
 	// nullRows are the positions excluded from keys because some indexed
 	// column is NULL, in ascending row order.
 	nullRows []int
 	// nan records that an indexed column holds a NaN: Compare treats NaN as
-	// equal to every number, which neither the hash keys nor the sorted
-	// order can represent, so the index disables itself and scans keep
-	// parity.
+	// equal to every number, which the sorted order cannot represent, so
+	// the index disables itself and scans keep parity.
 	nan bool
 
 	// stats is the distribution snapshot the cost model reads (see
@@ -49,37 +55,24 @@ type tableIndex struct {
 	stats atomic.Pointer[indexStats]
 }
 
-// indexKey normalizes a value for hash lookups so that values that compare
-// equal share a key across dynamic types (Int 3, Float 3.0 and Bool-as-1
-// all probe the same bucket, matching Compare semantics).
-func indexKey(v Value) (string, bool) {
-	if f, ok := v.AsFloat(); ok {
-		if f == 0 {
-			f = 0 // -0.0 compares equal to 0.0 but formats as "-0"
-		}
-		return Float(f).key(), true
-	}
-	if s, ok := v.AsText(); ok {
-		return Text(s).key(), true
-	}
-	return "", false
+// nkeys returns the number of distinct key tuples.
+func (ix *tableIndex) nkeys() int { return len(ix.keys) / len(ix.cols) }
+
+// key returns distinct key tuple ki (read only).
+func (ix *tableIndex) key(ki int) []Value {
+	w := len(ix.cols)
+	return ix.keys[ki*w : (ki+1)*w : (ki+1)*w]
 }
 
-// compositeKey concatenates per-column keys unambiguously (length-prefixed,
-// so a TEXT key containing the separator of another cannot collide).
-func compositeKey(parts []string) string {
-	var sb strings.Builder
-	for _, p := range parts {
-		sb.WriteString(strconv.Itoa(len(p)))
-		sb.WriteByte(':')
-		sb.WriteString(p)
-	}
-	return sb.String()
+// keyRows returns the row positions of key tuple ki, ascending (read only).
+func (ix *tableIndex) keyRows(ki int) []int {
+	return ix.rows[ix.starts[ki]:ix.starts[ki+1]:ix.starts[ki+1]]
 }
 
 // compareKeyTuples orders two key tuples lexicographically. Keys of one
 // column share a comparable group (values are coerced to the column type on
-// insert), so Compare cannot fail here.
+// insert), so Compare cannot fail between keys; a Compare error counts as
+// "equal", which is why probes are checked with probeable first.
 func compareKeyTuples(a, b []Value) int {
 	for i := range a {
 		c, _ := Compare(a[i], b[i])
@@ -99,108 +92,122 @@ func (ix *tableIndex) ensure(t *Table) error {
 	if ix.built == t.version {
 		return nil
 	}
-	hash := make(map[string][]int)
-	var keys [][]Value
-	var keyRows [][]int
+	// One scan gathers every keyed row's tuple (scratch, flattened) and
+	// position; positions arrive ascending.
+	w := len(ix.cols)
+	n := t.store.Len()
+	tuples := make([]Value, 0, n*w)
+	pos := make([]int, 0, n)
 	var nullRows []int
 	nan := false
-	pos := make(map[string]int)
-	parts := make([]string, len(ix.cols))
 	err := t.store.Scan(func(ri int, row []Value) error {
-		for i, ci := range ix.cols {
+		for _, ci := range ix.cols {
 			v := row[ci]
 			if v.IsNull() {
+				tuples = tuples[:len(pos)*w]
 				nullRows = append(nullRows, ri)
 				return nil
 			}
 			if f, isNum := v.AsFloat(); isNum && math.IsNaN(f) {
 				nan = true
 			}
-			k, ok := indexKey(v)
-			if !ok { // unreachable for non-null values; keep the superset honest
-				nullRows = append(nullRows, ri)
-				return nil
-			}
-			parts[i] = k
+			tuples = append(tuples, v)
 		}
-		k := compositeKey(parts)
-		if i, seen := pos[k]; seen {
-			keyRows[i] = append(keyRows[i], ri)
-		} else {
-			tup := make([]Value, len(ix.cols))
-			for i, ci := range ix.cols {
-				tup[i] = row[ci]
-			}
-			pos[k] = len(keys)
-			keys = append(keys, tup)
-			keyRows = append(keyRows, []int{ri})
-		}
+		pos = append(pos, ri)
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	order := make([]int, len(keys))
+	tuple := func(i int32) []Value { return tuples[int(i)*w : int(i+1)*w] }
+	// Sort a permutation by key tuple; ties keep scan order, so positions
+	// stay ascending within a key and a key's first row is its lowest.
+	order := make([]int32, len(pos))
 	for i := range order {
-		order[i] = i
+		order[i] = int32(i)
 	}
-	sort.Slice(order, func(a, b int) bool {
-		return compareKeyTuples(keys[order[a]], keys[order[b]]) < 0
+	slices.SortFunc(order, func(a, b int32) int {
+		if c := compareKeyTuples(tuple(a), tuple(b)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
 	})
-	sortedKeys := make([][]Value, len(keys))
-	sortedRows := make([][]int, len(keys))
+	newKey := func(i int) bool { return i == 0 || compareKeyTuples(tuple(order[i-1]), tuple(order[i])) != 0 }
+	nk := 0
+	for i := range order {
+		if newKey(i) {
+			nk++
+		}
+	}
+	keys := make([]Value, 0, nk*w)
+	rows := make([]int, len(order))
+	starts := make([]int32, 0, nk+1)
 	for i, o := range order {
-		sortedKeys[i] = keys[o]
-		sortedRows[i] = keyRows[o]
+		if newKey(i) {
+			keys = append(keys, tuple(o)...)
+			starts = append(starts, int32(i))
+		}
+		rows[i] = pos[o]
 	}
-	// pos already maps each composite key to its tuple slot; the row
-	// buckets are shared with sortedRows, so no key re-derivation needed.
-	for k, i := range pos {
-		hash[k] = keyRows[i]
-	}
-	ix.hash = hash
-	ix.keys = sortedKeys
-	ix.keyRows = sortedRows
+	ix.keys = keys
+	ix.rows = rows
+	ix.starts = append(starts, int32(len(rows)))
 	ix.nullRows = nullRows
 	ix.nan = nan
 	ix.built = t.version
-	// The sorted distinct tuples and their buckets are exactly what the
+	// The sorted distinct tuples and their row runs are exactly what the
 	// statistics need; derive them here for free. Only the FIRST derivation
 	// bumps the stats epoch (plans chosen blind must re-cost); later
 	// rebuilds refresh the numbers silently — estimates always read the
 	// current stats, and retiring cached plans on bounded drift is the
 	// mutation hooks' job (see DB.noteDriftLocked).
 	first := ix.stats.Load() == nil
-	ix.stats.Store(deriveIndexStats(len(ix.cols), sortedKeys, sortedRows, len(nullRows)))
+	ix.stats.Store(deriveIndexStats(ix))
 	if first && t.epochRef != nil {
 		t.epochRef.Add(1)
 	}
 	return nil
 }
 
-// lookupEqual returns the positions of rows whose full key tuple equals
-// vals (one probe per indexed column). Call ensure first. The returned
-// slice is shared with the index — read only. Positions are ascending.
-func (ix *tableIndex) lookupEqual(vals []Value) []int {
-	parts := make([]string, len(vals))
-	for i, v := range vals {
-		k, ok := indexKey(v)
-		if !ok {
-			return nil
-		}
-		parts[i] = k
+// probeable reports whether eq (leading columns) and the bounds on the next
+// column can probe the key order: each must be comparableWith its column's
+// type. A NULL, NaN or cross-family probe matches no key under Compare
+// (NaN matches every number, which only a scan reproduces), so lookups
+// return nothing for it. Call ensure first.
+func (ix *tableIndex) probeable(eq []Value, lo, hi *Value) bool {
+	if ix.nkeys() == 0 {
+		return false
 	}
-	return ix.hash[compositeKey(parts)]
+	k := ix.key(0) // keys carry their column's type (coerced on insert)
+	for i, v := range eq {
+		if !comparableWith(k[i].typ, v) {
+			return false
+		}
+	}
+	m := len(eq)
+	return (lo == nil || comparableWith(k[m].typ, *lo)) && (hi == nil || comparableWith(k[m].typ, *hi))
+}
+
+// lookupEqual returns the positions of rows whose full key tuple equals
+// vals (one probe per indexed column), nil when none does or a probe is
+// not probeable. Call ensure first. The returned slice is shared with the
+// index — read only. Positions are ascending.
+func (ix *tableIndex) lookupEqual(vals []Value) []int {
+	return ix.lookupPrefixRange(vals, nil, nil, false, false)
 }
 
 // prefixRange returns the half-open key range [start, end) of tuples whose
 // leading len(eq) columns equal eq and whose next column, when lo/hi are
 // set, lies within the bounds (strict excludes the bound). With empty eq
-// and nil bounds this is the whole key space. Call ensure first.
+// and nil bounds this is the whole key space; a probe that is not
+// probeable gives the empty range. Call ensure first.
 func (ix *tableIndex) prefixRange(eq []Value, lo, hi *Value, loStrict, hiStrict bool) (int, int) {
-	m := len(eq)
-	start := sort.Search(len(ix.keys), func(i int) bool {
-		k := ix.keys[i]
+	if !ix.probeable(eq, lo, hi) {
+		return 0, 0
+	}
+	m, nk := len(eq), ix.nkeys()
+	start := sort.Search(nk, func(i int) bool {
+		k := ix.key(i)
 		if c := compareKeyTuples(k[:m], eq); c != 0 {
 			return c > 0
 		}
@@ -213,8 +220,8 @@ func (ix *tableIndex) prefixRange(eq []Value, lo, hi *Value, loStrict, hiStrict 
 		}
 		return c >= 0
 	})
-	end := sort.Search(len(ix.keys), func(i int) bool {
-		k := ix.keys[i]
+	end := sort.Search(nk, func(i int) bool {
+		k := ix.key(i)
 		if c := compareKeyTuples(k[:m], eq); c != 0 {
 			return c > 0
 		}
@@ -233,16 +240,16 @@ func (ix *tableIndex) prefixRange(eq []Value, lo, hi *Value, loStrict, hiStrict 
 	return start, end
 }
 
-// lookupPrefixRange gathers the row positions of every key in the prefix
-// range (see prefixRange). The returned slice is freshly allocated; the
+// lookupPrefixRange returns the row positions of every key in the prefix
+// range (see prefixRange), nil when it is empty. The keys' row runs are
+// contiguous, so the result is shared with the index — read only. The
 // positions are NOT globally sorted (they follow key order).
 func (ix *tableIndex) lookupPrefixRange(eq []Value, lo, hi *Value, loStrict, hiStrict bool) []int {
 	start, end := ix.prefixRange(eq, lo, hi, loStrict, hiStrict)
-	var out []int
-	for i := start; i < end; i++ {
-		out = append(out, ix.keyRows[i]...)
+	if start == end {
+		return nil
 	}
-	return out
+	return ix.rows[ix.starts[start]:ix.starts[end]:ix.starts[end]]
 }
 
 // comparableWith reports whether probing an indexed column (declared type

@@ -2,7 +2,6 @@ package sqldb
 
 import (
 	"encoding/binary"
-	"math"
 	"strings"
 )
 
@@ -76,19 +75,13 @@ func (ex *executor) subquery(sel *SelectStmt, sc *scope) (*Result, error) {
 func appendMemoKey(b []byte, v Value) []byte {
 	b = append(b, byte(v.typ))
 	switch v.typ {
-	case IntType:
-		b = binary.LittleEndian.AppendUint64(b, uint64(v.i))
-	case FloatType:
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v.f))
+	case IntType, FloatType:
+		b = binary.LittleEndian.AppendUint64(b, v.n)
 	case TextType:
 		b = binary.AppendUvarint(b, uint64(len(v.s)))
 		b = append(b, v.s...)
 	case BoolType:
-		if v.b {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
+		b = append(b, byte(v.n))
 	}
 	return b
 }

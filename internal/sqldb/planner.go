@@ -103,10 +103,12 @@ func (ex *executor) collectSargsFrom(t *Table, rel relation, sel *SelectStmt, pa
 		colType := t.Cols[sg.ci].Type
 		if sg.op == "in" {
 			// NULL members never match and drop out (a list of only NULLs
-			// matches nothing); members are deduplicated by index key so the
-			// per-member position sets of a multi-probe stay disjoint.
+			// matches nothing); members are deduplicated under Compare
+			// equality (numbers by value, so 1, 1.0, TRUE and -0.0/0.0
+			// coincide) so the per-member position sets of a multi-probe
+			// stay disjoint.
 			var vals []Value
-			seen := make(map[string]bool, len(sg.list))
+			seen := make(map[Value]bool, len(sg.list))
 			for _, v := range sg.list {
 				if v.IsNull() {
 					continue
@@ -114,7 +116,13 @@ func (ex *executor) collectSargsFrom(t *Table, rel relation, sel *SelectStmt, pa
 				if !comparableWith(colType, v) {
 					return sargSet{}, false
 				}
-				k, _ := indexKey(v)
+				k := v
+				if f, ok := v.AsFloat(); ok {
+					if f == 0 {
+						f = 0 // -0.0 is 0.0 under Compare
+					}
+					k = Float(f)
+				}
 				if seen[k] {
 					continue
 				}
@@ -615,24 +623,17 @@ func pathPositions(p accessPath) []int {
 		// collection, so the per-member position sets are disjoint.
 		probe := make([]Value, len(p.eq)+1)
 		copy(probe, p.eq)
-		full := len(p.eq)+1 == len(p.ix.cols)
 		for _, v := range p.in {
 			probe[len(p.eq)] = v
-			if full {
-				pos = append(pos, p.ix.lookupEqual(probe)...)
-			} else {
-				pos = append(pos, p.ix.lookupPrefixRange(probe, nil, nil, false, false)...)
-			}
+			pos = append(pos, p.ix.lookupPrefixRange(probe, nil, nil, false, false)...)
 		}
-	case p.rng == nil && len(p.eq) == len(p.ix.cols):
-		pos = p.ix.lookupEqual(p.eq) // shared with the index — read only
 	default:
 		var lo, hi *Value
 		var loS, hiS bool
 		if p.rng != nil {
 			lo, hi, loS, hiS = p.rng.lo, p.rng.hi, p.rng.loStrict, p.rng.hiStrict
 		}
-		pos = p.ix.lookupPrefixRange(p.eq, lo, hi, loS, hiS)
+		pos = p.ix.lookupPrefixRange(p.eq, lo, hi, loS, hiS) // shared with the index — read only
 	}
 	if p.usedCols() < len(p.ix.cols) && len(p.ix.nullRows) > 0 {
 		pos = append(append(make([]int, 0, len(pos)+len(p.ix.nullRows)), pos...), p.ix.nullRows...)
@@ -1080,8 +1081,8 @@ func coveringRows(t *Table, p accessPath, pos []int, tk *pager.Tracker) ([][]Val
 	tup := make(map[int][]Value, len(pos))
 	addRange := func(start, end int) {
 		for ki := start; ki < end; ki++ {
-			for _, ri := range ix.keyRows[ki] {
-				tup[ri] = ix.keys[ki]
+			for _, ri := range ix.keyRows(ki) {
+				tup[ri] = ix.key(ki)
 			}
 		}
 	}
@@ -1332,7 +1333,7 @@ func (ex *executor) tryTopK(sel *SelectStmt, parent *scope) (*Result, bool, erro
 	emitKeys := func() {
 		if !desc {
 			for ki := start; ki < end && !done && err == nil; ki++ {
-				for _, ri := range ix.keyRows[ki] {
+				for _, ri := range ix.keyRows(ki) {
 					if done, err = emit(ri); done || err != nil {
 						break
 					}
@@ -1341,7 +1342,7 @@ func (ex *executor) tryTopK(sel *SelectStmt, parent *scope) (*Result, bool, erro
 			return
 		}
 		for ki := end - 1; ki >= start && !done && err == nil; ki-- {
-			for _, ri := range ix.keyRows[ki] {
+			for _, ri := range ix.keyRows(ki) {
 				if done, err = emit(ri); done || err != nil {
 					break
 				}

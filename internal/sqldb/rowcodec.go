@@ -26,20 +26,17 @@ func AppendValue(buf []byte, v Value) []byte {
 	switch v.typ {
 	case IntType:
 		buf = append(buf, wireTagInt)
-		return binary.LittleEndian.AppendUint64(buf, uint64(v.i))
+		return binary.LittleEndian.AppendUint64(buf, v.n)
 	case FloatType:
 		buf = append(buf, wireTagFloat)
-		return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.f))
+		return binary.LittleEndian.AppendUint64(buf, v.n)
 	case TextType:
 		buf = append(buf, wireTagText)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v.s)))
 		return append(buf, v.s...)
 	case BoolType:
 		buf = append(buf, wireTagBool)
-		if v.b {
-			return append(buf, 1)
-		}
-		return append(buf, 0)
+		return append(buf, byte(v.n))
 	default:
 		return append(buf, wireTagNull)
 	}

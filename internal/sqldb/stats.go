@@ -52,24 +52,23 @@ type indexStats struct {
 	hist      []histBucket
 }
 
-// deriveIndexStats computes statistics from a freshly built index: keys are
-// the distinct tuples in sorted order, keyRows the aligned row buckets.
-func deriveIndexStats(ncols int, keys [][]Value, keyRows [][]int, nullRows int) *indexStats {
-	s := &indexStats{nullRows: nullRows, prefixNDV: make([]int, ncols)}
-	for _, rs := range keyRows {
-		s.rows += len(rs)
-	}
+// deriveIndexStats computes statistics from a freshly built index, whose
+// distinct key tuples are in sorted order with their row runs.
+func deriveIndexStats(ix *tableIndex) *indexStats {
+	ncols, nk := len(ix.cols), ix.nkeys()
+	s := &indexStats{rows: len(ix.rows), nullRows: len(ix.nullRows), prefixNDV: make([]int, ncols)}
 	// Keys are sorted lexicographically, so a k-prefix is new exactly when
 	// it differs from the previous key within the first k columns.
-	for i, k := range keys {
-		if i == 0 {
+	for ki := 0; ki < nk; ki++ {
+		if ki == 0 {
 			for d := 0; d < ncols; d++ {
 				s.prefixNDV[d]++
 			}
 			continue
 		}
+		prev, k := ix.key(ki-1), ix.key(ki)
 		for d := 0; d < ncols; d++ {
-			if c, _ := Compare(keys[i-1][d], k[d]); c != 0 {
+			if c, _ := Compare(prev[d], k[d]); c != 0 {
 				for e := d; e < ncols; e++ {
 					s.prefixNDV[e]++
 				}
@@ -82,19 +81,17 @@ func deriveIndexStats(ncols int, keys [][]Value, keyRows [][]int, nullRows int) 
 	// reaches its depth.
 	if s.rows > 0 {
 		depth := (s.rows + histBuckets - 1) / histBuckets
-		cum, inBucket := 0, 0
-		for i := range keys {
-			w := len(keyRows[i])
-			cum += w
-			inBucket += w
-			last := i == len(keys)-1
+		inBucket := 0
+		for ki := 0; ki < nk; ki++ {
+			inBucket += len(ix.keyRows(ki))
+			last := ki == nk-1
 			boundary := last
 			if !last {
-				c, _ := Compare(keys[i][0], keys[i+1][0])
+				c, _ := Compare(ix.key(ki)[0], ix.key(ki + 1)[0])
 				boundary = c != 0
 			}
 			if boundary && (inBucket >= depth || last) {
-				s.hist = append(s.hist, histBucket{upper: keys[i][0], cum: cum})
+				s.hist = append(s.hist, histBucket{upper: ix.key(ki)[0], cum: int(ix.starts[ki+1])})
 				inBucket = 0
 			}
 		}

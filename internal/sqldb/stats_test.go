@@ -134,13 +134,12 @@ func TestStatsDriftBumpsEpoch(t *testing.T) {
 // 100 rows each against a depth of ceil(1000/32)=32 means every run
 // overflows its own bucket, one bucket per distinct value.
 func TestHistogramEquiDepth(t *testing.T) {
-	keys := make([][]Value, 10)
-	keyRows := make([][]int, 10)
-	for i := range keys {
-		keys[i] = []Value{Int(int64(i))}
-		keyRows[i] = make([]int, 100)
+	ix := &tableIndex{cols: []int{0}, rows: make([]int, 1000), starts: []int32{0}}
+	for i := 0; i < 10; i++ {
+		ix.keys = append(ix.keys, Int(int64(i)))
+		ix.starts = append(ix.starts, int32(100*(i+1)))
 	}
-	s := deriveIndexStats(1, keys, keyRows, 0)
+	s := deriveIndexStats(ix)
 	if s.rows != 1000 || len(s.hist) != 10 {
 		t.Fatalf("rows=%d buckets=%d, want 1000 rows in 10 buckets", s.rows, len(s.hist))
 	}

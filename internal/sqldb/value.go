@@ -52,29 +52,36 @@ func (t Type) String() string {
 	}
 }
 
-// Value is one dynamically-typed SQL value.
+// Value is one dynamically-typed SQL value, 32 bytes: the type tag, one
+// 64-bit payload word and a string. n holds an INT's bits, a FLOAT's
+// math.Float64bits, or a BOOL as 0/1; s holds TEXT. Struct equality (==,
+// reflect.DeepEqual) therefore compares floats bit for bit: -0.0 differs
+// from 0.0 and a NaN equals itself. Compare is the SQL ordering.
 type Value struct {
 	typ Type
-	i   int64
-	f   float64
+	n   uint64
 	s   string
-	b   bool
 }
 
 // Null returns the SQL NULL value (also the zero Value).
 func Null() Value { return Value{} }
 
 // Int wraps an int64.
-func Int(v int64) Value { return Value{typ: IntType, i: v} }
+func Int(v int64) Value { return Value{typ: IntType, n: uint64(v)} }
 
 // Float wraps a float64.
-func Float(v float64) Value { return Value{typ: FloatType, f: v} }
+func Float(v float64) Value { return Value{typ: FloatType, n: math.Float64bits(v)} }
 
 // Text wraps a string.
 func Text(v string) Value { return Value{typ: TextType, s: v} }
 
 // Bool wraps a bool.
-func Bool(v bool) Value { return Value{typ: BoolType, b: v} }
+func Bool(v bool) Value {
+	if v {
+		return Value{typ: BoolType, n: 1}
+	}
+	return Value{typ: BoolType}
+}
 
 // Type returns the value's dynamic type.
 func (v Value) Type() Type { return v.typ }
@@ -82,18 +89,24 @@ func (v Value) Type() Type { return v.typ }
 // IsNull reports whether the value is NULL.
 func (v Value) IsNull() bool { return v.typ == NullType }
 
+// i is the payload of an INT value.
+func (v Value) i() int64 { return int64(v.n) }
+
+// f is the payload of a FLOAT value.
+func (v Value) f() float64 { return math.Float64frombits(v.n) }
+
+// b is the payload of a BOOL value.
+func (v Value) b() bool { return v.n != 0 }
+
 // AsFloat converts numeric and boolean values to float64.
 func (v Value) AsFloat() (float64, bool) {
 	switch v.typ {
 	case IntType:
-		return float64(v.i), true
+		return float64(v.i()), true
 	case FloatType:
-		return v.f, true
+		return v.f(), true
 	case BoolType:
-		if v.b {
-			return 1, true
-		}
-		return 0, true
+		return float64(v.n), true
 	default:
 		return 0, false
 	}
@@ -104,17 +117,14 @@ func (v Value) AsFloat() (float64, bool) {
 func (v Value) AsInt() (int64, bool) {
 	switch v.typ {
 	case IntType:
-		return v.i, true
+		return v.i(), true
 	case FloatType:
-		if v.f == math.Trunc(v.f) && !math.IsInf(v.f, 0) {
-			return int64(v.f), true
+		if f := v.f(); f == math.Trunc(f) && !math.IsInf(f, 0) {
+			return int64(f), true
 		}
 		return 0, false
 	case BoolType:
-		if v.b {
-			return 1, true
-		}
-		return 0, true
+		return int64(v.n), true
 	default:
 		return 0, false
 	}
@@ -131,7 +141,7 @@ func (v Value) AsText() (string, bool) {
 // AsBool returns the boolean payload of a BOOL value.
 func (v Value) AsBool() (bool, bool) {
 	if v.typ == BoolType {
-		return v.b, true
+		return v.b(), true
 	}
 	return false, false
 }
@@ -142,13 +152,13 @@ func (v Value) String() string {
 	case NullType:
 		return "NULL"
 	case IntType:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.i(), 10)
 	case FloatType:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.f(), 'g', -1, 64)
 	case TextType:
 		return v.s
 	case BoolType:
-		if v.b {
+		if v.b() {
 			return "TRUE"
 		}
 		return "FALSE"
@@ -165,13 +175,13 @@ func (v Value) key() string {
 	case NullType:
 		return "n"
 	case IntType:
-		return "f" + strconv.FormatFloat(float64(v.i), 'g', -1, 64)
+		return "f" + strconv.FormatFloat(float64(v.i()), 'g', -1, 64)
 	case FloatType:
-		return "f" + strconv.FormatFloat(v.f, 'g', -1, 64)
+		return "f" + strconv.FormatFloat(v.f(), 'g', -1, 64)
 	case TextType:
 		return "t" + v.s
 	case BoolType:
-		if v.b {
+		if v.b() {
 			return "b1"
 		}
 		return "b0"

@@ -2,7 +2,17 @@ package sqldb
 
 import (
 	"testing"
+	"unsafe"
 )
+
+// TestValueSize pins the 32-byte layout (type tag, one payload word, a
+// string): every stored row, index key and histogram bound is made of
+// Values, so a wider Value grows each session's resident store.
+func TestValueSize(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 32 {
+		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want 32", got)
+	}
+}
 
 func TestValueConstructorsAndAccessors(t *testing.T) {
 	if !Null().IsNull() {
