@@ -132,14 +132,20 @@ var journeyMenus = [][]string{
 	{"amount >= old(amount) * 0.8", "income <= old(income) * 1.6"},
 }
 
-func BenchmarkNewSessionJourney(b *testing.B) {
+// journeySystem returns the shared jitd-default demo, training it once.
+func journeySystem(tb testing.TB) *LoanDemo {
+	tb.Helper()
 	journeyDemo.once.Do(func() {
 		journeyDemo.demo, journeyDemo.err = NewLoanDemo(DefaultLoanDemoConfig())
 	})
 	if journeyDemo.err != nil {
-		b.Fatal(journeyDemo.err)
+		tb.Fatal(journeyDemo.err)
 	}
-	sys := journeyDemo.demo.System
+	return journeyDemo.demo
+}
+
+// journeyPrefs parses journeyMenus into one constraint set per menu.
+func journeyPrefs() []*ConstraintSet {
 	prefs := make([]*ConstraintSet, len(journeyMenus))
 	for i, menu := range journeyMenus {
 		prefs[i] = NewConstraintSet()
@@ -147,6 +153,12 @@ func BenchmarkNewSessionJourney(b *testing.B) {
 			prefs[i].Add(MustParseConstraint(src))
 		}
 	}
+	return prefs
+}
+
+func BenchmarkNewSessionJourney(b *testing.B) {
+	sys := journeySystem(b).System
+	prefs := journeyPrefs()
 	profiles := RejectedProfiles()
 	b.ReportAllocs()
 	b.ResetTimer()

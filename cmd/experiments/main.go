@@ -1,10 +1,11 @@
 // Command experiments regenerates every experiment in DESIGN.md's
-// per-experiment index (E1-E8), printing paper-style tables. E9 (the
-// decision-altering invariant) lives in the property-based test suite.
+// per-experiment index (E1-E8), printing paper-style tables, plus E9, the
+// shrink phase's quality-versus-cost trade-off. The decision-altering
+// invariant lives in the property-based test suite.
 //
 // Usage:
 //
-//	experiments [-e all|e1|e2|e3|e4|e5|e6|e7|e8] [-quick]
+//	experiments [-e all|e1|e2|e3|e4|e5|e6|e7|e8|e9] [-quick]
 //
 // -quick shrinks workloads for fast smoke runs (used by CI and the test
 // suite); default sizes reproduce the numbers recorded in EXPERIMENTS.md.
@@ -20,7 +21,7 @@ import (
 
 func main() {
 	log.SetFlags(0)
-	which := flag.String("e", "all", "experiment id (e1..e8) or all")
+	which := flag.String("e", "all", "experiment id (e1..e9) or all")
 	quick := flag.Bool("quick", false, "shrink workloads for a fast smoke run")
 	flag.Parse()
 
@@ -37,6 +38,7 @@ func main() {
 		{"e6", "Parallel generator speedup (Sec. II-B claim)", runE6},
 		{"e7", "Diverse top-k vs greedy (Sec. II-B claim)", runE7},
 		{"e8", "Scale: ingest and query latency (Sec. III)", runE8},
+		{"e9", "Shrink rounds: quality vs cost", runE9},
 	}
 
 	ran := false

@@ -13,10 +13,10 @@ import (
 // contexts, moves, shrink midpoints, top-K) reuses scratch space sized once
 // per search, so what remains is mostly the per-iteration model outputs
 // (batch scores, and the logistic gradient) plus a few chunks. The budgets
-// are the measured counts and bytes on go1.24/amd64 (507 and 327
-// allocations, 694 and 1054 KiB) plus ~10%. A per-entry allocation costs thousands more allocations, and
-// an arena that grows by doubling copies and strands its old arrays, which
-// shows in the bytes.
+// are the measured counts and bytes on go1.24/amd64 (459 and 238
+// allocations, 480 and 716 KiB) plus ~10%. A per-entry allocation costs
+// thousands more allocations, and an arena that grows by doubling copies
+// and strands its old arrays, which shows in the bytes.
 func TestGenerateAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds allocations of its own")
@@ -28,8 +28,8 @@ func TestGenerateAllocations(t *testing.T) {
 		input           []float64
 		allocs, kibytes float64
 	}{
-		{"logistic", trainedLogistic(t), []float64{20, 40}, 560, 765},
-		{"forest", trainedForest(t), []float64{30, 30}, 360, 1160},
+		{"logistic", trainedLogistic(t), []float64{20, 40}, 505, 530},
+		{"forest", trainedForest(t), []float64{30, 30}, 265, 790},
 	}
 	for _, c := range cases {
 		p := Problem{Schema: schema, Model: c.model, Threshold: 0.5, Input: c.input}

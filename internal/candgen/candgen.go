@@ -68,6 +68,9 @@ type Config struct {
 	DiversityPenalty float64
 	// Weights scalarizes the objectives when ranking feasible candidates.
 	Weights Weights
+	// ShrinkRounds is the number of bisection rounds the shrink phase runs
+	// on each feasible candidate's segment back to the input; 0 selects 12.
+	ShrinkRounds int
 	// Seed drives random coordinate moves.
 	Seed int64
 }
@@ -81,9 +84,11 @@ type Weights struct {
 }
 
 // DefaultConfig returns the configuration used by the pipeline: top-8
-// diverse candidates from a width-16 beam.
+// diverse candidates from a width-16 beam, shrunk by 3 bisection rounds.
+// Rounds past the third almost never change the returned top-K (README,
+// "Candidate generation", has the measurement).
 func DefaultConfig() Config {
-	return Config{K: 8, BeamWidth: 16, MaxIters: 25, Patience: 3, DiversityPenalty: 0.5, Weights: Weights{1, 1, 1}}
+	return Config{K: 8, BeamWidth: 16, MaxIters: 25, Patience: 3, DiversityPenalty: 0.5, Weights: Weights{1, 1, 1}, ShrinkRounds: 3}
 }
 
 func (c Config) withDefaults() Config {
@@ -99,6 +104,9 @@ func (c Config) withDefaults() Config {
 	if c.Patience == 0 {
 		c.Patience = 3
 	}
+	if c.ShrinkRounds == 0 {
+		c.ShrinkRounds = 12
+	}
 	if c.DiversityPenalty < 0 {
 		c.DiversityPenalty = 0.5
 	}
@@ -112,7 +120,7 @@ func (c Config) validate() error {
 	if c.K < 1 {
 		return fmt.Errorf("candgen: K must be >= 1, got %d", c.K)
 	}
-	if c.BeamWidth < 0 || c.MaxIters < 0 || c.Patience < 0 {
+	if c.BeamWidth < 0 || c.MaxIters < 0 || c.Patience < 0 || c.ShrinkRounds < 0 {
 		return fmt.Errorf("candgen: negative search parameter")
 	}
 	if c.DiversityPenalty >= 1 {
@@ -655,8 +663,8 @@ func (s *search) thresholdMoves(dst, x []float64, i int, thrs []float64) []float
 
 // shrinkPool walks each feasible candidate back toward the input by binary
 // search along the connecting segment, keeping feasibility, to reduce diff.
-// The searches run in lockstep so each of the 12 bisection rounds scores
-// every candidate's midpoint with one batch model call.
+// The searches run in lockstep so each of the cfg.ShrinkRounds bisection
+// rounds scores every candidate's midpoint with one batch model call.
 func (s *search) shrinkPool() error {
 	var slots []int32
 	for i := int32(0); i < int32(s.pool.len()); i++ {
@@ -691,7 +699,7 @@ func (s *search) shrinkPool() error {
 	for j := range rows {
 		rows[j] = arena[j*d : (j+1)*d : (j+1)*d]
 	}
-	for step := 0; step < 12; step++ {
+	for step := 0; step < s.cfg.ShrinkRounds; step++ {
 		if err := s.ctxErr(); err != nil {
 			return err
 		}

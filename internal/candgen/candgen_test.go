@@ -107,6 +107,11 @@ func TestGenerateValidation(t *testing.T) {
 	if _, _, err := Generate(good, cfg); err == nil {
 		t.Error("negative weight should fail")
 	}
+	cfg = DefaultConfig()
+	cfg.ShrinkRounds = -1
+	if _, _, err := Generate(good, cfg); err == nil {
+		t.Error("negative ShrinkRounds should fail")
+	}
 }
 
 func TestForestCandidates(t *testing.T) {

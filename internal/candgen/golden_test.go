@@ -15,10 +15,14 @@ import (
 )
 
 // goldenDigest is the SHA-256 of Generate's full output over
-// goldenMatrix. Any change to the search must leave it unchanged: the
-// candidates, their order, every float bit and every Stats field are
-// part of the digest.
+// goldenMatrix with 12 shrink rounds, what a zero ShrinkRounds selects.
+// Any change to the search must leave it unchanged: the candidates, their
+// order, every float bit and every Stats field are part of the digest.
 const goldenDigest = "fd975df7dfb5e3f7e3690e9020e656024591d6a461a6ec00233144cbefa5d7a2"
+
+// goldenDefaultDigest is the same digest at DefaultConfig's shrink round
+// count, the search the pipeline runs.
+const goldenDefaultDigest = "01a798182c117dc667276bbbefc1bdbac72e8ca9965b3dccd66dd588fa364409"
 
 // hashOutput folds one Generate result into h: the candidate count, each
 // candidate's X, Diff, Gap and Confidence bits, and every Stats field.
@@ -49,9 +53,9 @@ func hashOutput(h []byte, cands []Candidate, st Stats) []byte {
 
 // goldenMatrix runs Generate over forest and logistic models, continuous
 // and integer-valued schemas, several inputs, no / user / domain
-// constraint sets, λ ∈ {0, 0.5}, K ∈ {1, 8} and two seeds, and returns
-// the SHA-256 of all outputs in order.
-func goldenMatrix(t *testing.T) string {
+// constraint sets, λ ∈ {0, 0.5}, K ∈ {1, 8} and two seeds, all with the
+// given shrink round count, and returns the SHA-256 of all outputs in order.
+func goldenMatrix(t *testing.T, shrinkRounds int) string {
 	t.Helper()
 	mixed, err := feature.NewSchema(
 		feature.Field{Name: "a", Kind: feature.Continuous, Min: 0, Max: 100},
@@ -84,6 +88,7 @@ func goldenMatrix(t *testing.T) string {
 						for _, k := range []int{1, 8} {
 							for _, seed := range []int64{1, 7} {
 								cfg := DefaultConfig()
+								cfg.ShrinkRounds = shrinkRounds
 								cfg.K = k
 								cfg.DiversityPenalty = lambda
 								cfg.Seed = seed
@@ -143,6 +148,7 @@ func goldenMatrix(t *testing.T) string {
 				for _, lambda := range []float64{0, 0.5} {
 					for _, k := range []int{1, 8} {
 						cfg := DefaultConfig()
+						cfg.ShrinkRounds = shrinkRounds
 						cfg.K = k
 						cfg.DiversityPenalty = lambda
 						cands, st, err := Generate(Problem{
@@ -161,14 +167,23 @@ func goldenMatrix(t *testing.T) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// TestGoldenFingerprint pins Generate's output bit for bit. The digest
-// was captured on amd64; architectures whose compilers fuse multiply-adds
-// may round differently and are skipped.
+// TestGoldenFingerprint pins Generate's output bit for bit, at 12 shrink
+// rounds and at the default count. The digests were captured on amd64;
+// architectures whose compilers fuse multiply-adds may round differently
+// and are skipped.
 func TestGoldenFingerprint(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("golden digest is pinned on amd64, running on %s", runtime.GOARCH)
 	}
-	if got := goldenMatrix(t); got != goldenDigest {
-		t.Fatalf("Generate output changed:\n got  %s\n want %s", got, goldenDigest)
+	for _, c := range []struct {
+		rounds int
+		want   string
+	}{
+		{12, goldenDigest},
+		{DefaultConfig().ShrinkRounds, goldenDefaultDigest},
+	} {
+		if got := goldenMatrix(t, c.rounds); got != c.want {
+			t.Errorf("Generate output at %d shrink rounds changed:\n got  %s\n want %s", c.rounds, got, c.want)
+		}
 	}
 }

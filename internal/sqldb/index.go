@@ -83,6 +83,36 @@ func compareKeyTuples(a, b []Value) int {
 	return 0
 }
 
+// compareKeyTuplesNaN is compareKeyTuples with NaN ordered after every
+// number and equal only to NaN. Compare calls NaN equal to every number,
+// which is no order: a sort by it leaves a NaN tuple anywhere and may fold
+// it into a number's key. ensure sorts by this order when a key holds a
+// NaN, so each NaN tuple keeps a key of its own that the statistics set
+// aside; the index itself stays disabled (see nan).
+func compareKeyTuplesNaN(a, b []Value) int {
+	for i := range a {
+		an, bn := isNaN(a[i]), isNaN(b[i])
+		if an || bn {
+			if an != bn {
+				if an {
+					return 1
+				}
+				return -1
+			}
+			continue
+		}
+		if c, _ := Compare(a[i], b[i]); c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
+func isNaN(v Value) bool {
+	f, ok := v.AsFloat()
+	return ok && math.IsNaN(f)
+}
+
 // ensure (re)builds the index if the table mutated since the last build. It
 // can fail only for paged tables (a page fault hitting an I/O error); the
 // index is left untouched then and the caller aborts the query.
@@ -108,7 +138,7 @@ func (ix *tableIndex) ensure(t *Table) error {
 				nullRows = append(nullRows, ri)
 				return nil
 			}
-			if f, isNum := v.AsFloat(); isNum && math.IsNaN(f) {
+			if isNaN(v) {
 				nan = true
 			}
 			tuples = append(tuples, v)
@@ -126,13 +156,17 @@ func (ix *tableIndex) ensure(t *Table) error {
 	for i := range order {
 		order[i] = int32(i)
 	}
+	compareTuples := compareKeyTuples
+	if nan {
+		compareTuples = compareKeyTuplesNaN
+	}
 	slices.SortFunc(order, func(a, b int32) int {
-		if c := compareKeyTuples(tuple(a), tuple(b)); c != 0 {
+		if c := compareTuples(tuple(a), tuple(b)); c != 0 {
 			return c
 		}
 		return cmp.Compare(a, b)
 	})
-	newKey := func(i int) bool { return i == 0 || compareKeyTuples(tuple(order[i-1]), tuple(order[i])) != 0 }
+	newKey := func(i int) bool { return i == 0 || compareTuples(tuple(order[i-1]), tuple(order[i])) != 0 }
 	nk := 0
 	for i := range order {
 		if newKey(i) {

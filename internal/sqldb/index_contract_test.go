@@ -54,11 +54,6 @@ func sortedCopy(pos []int) []int {
 	return out
 }
 
-func isNaN(v Value) bool {
-	f, ok := v.AsFloat()
-	return ok && math.IsNaN(f)
-}
-
 // TestIndexLookupContract checks the flat index against a Compare scan over
 // random two-column tables: lookupEqual and lookupPrefixRange return exactly
 // the keyed rows (no NULL in an indexed column) that the scan keeps, where

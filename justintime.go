@@ -48,10 +48,11 @@
 // across the forest's configured workers on large batches), and logistic
 // batch scoring reuses one standardization buffer for the whole batch.
 // Batch results are bit-identical to per-row Predict. The candidate
-// generator scores each beam iteration's full move set — and the pool
-// shrinking phase's bisection rounds — with single batch calls, and the
-// evaluation metrics (accuracy, AUC, log-loss, threshold calibration) score
-// their datasets the same way.
+// generator scores each beam iteration's full move set — and each of the
+// pool shrinking phase's bisection rounds (candgen.Config.ShrinkRounds, 3
+// by default; later rounds almost never change the top K) — with single
+// batch calls, and the evaluation metrics (accuracy, AUC, log-loss,
+// threshold calibration) score their datasets the same way.
 //
 // # Query engine: prepared statements, indexes, concurrency
 //
