@@ -1,6 +1,6 @@
-// Benchmarks regenerating the performance-shaped experiments of DESIGN.md
-// (one benchmark per experiment artifact; see EXPERIMENTS.md for recorded
-// results and cmd/experiments for the table-printing harness).
+// Benchmarks regenerating the performance-shaped experiments (one benchmark
+// per experiment artifact); cmd/experiments is the table-printing harness,
+// and `go run ./cmd/experiments -h` lists the experiments.
 package justintime
 
 import (
@@ -223,7 +223,7 @@ func BenchmarkCandidateGeneration(b *testing.B) {
 	}
 }
 
-// --- E6: generator parallelism (speedup is core-bound; see EXPERIMENTS.md).
+// --- E6: generator parallelism (speedup is core-bound, so it needs real cores).
 
 func BenchmarkParallelGenerators(b *testing.B) {
 	demo, _ := env.get(b)

@@ -1,14 +1,14 @@
-// Command experiments regenerates every experiment in DESIGN.md's
-// per-experiment index (E1-E8), printing paper-style tables, plus E9, the
-// shrink phase's quality-versus-cost trade-off. The decision-altering
-// invariant lives in the property-based test suite.
+// Command experiments regenerates the paper's experiments (E1-E8), printing
+// paper-style tables, plus E9, the shrink phase's quality-versus-cost
+// trade-off; `experiments -h` lists them. The decision-altering invariant
+// (Definition II.3) lives in the property-based test suite.
 //
 // Usage:
 //
 //	experiments [-e all|e1|e2|e3|e4|e5|e6|e7|e8|e9] [-quick]
 //
 // -quick shrinks workloads for fast smoke runs (used by CI and the test
-// suite); default sizes reproduce the numbers recorded in EXPERIMENTS.md.
+// suite); default sizes run the full workloads.
 package main
 
 import (
@@ -21,10 +21,6 @@ import (
 
 func main() {
 	log.SetFlags(0)
-	which := flag.String("e", "all", "experiment id (e1..e9) or all")
-	quick := flag.Bool("quick", false, "shrink workloads for a fast smoke run")
-	flag.Parse()
-
 	experiments := []struct {
 		id   string
 		name string
@@ -40,6 +36,18 @@ func main() {
 		{"e8", "Scale: ingest and query latency (Sec. III)", runE8},
 		{"e9", "Shrink rounds: quality vs cost", runE9},
 	}
+	which := flag.String("e", "all", "experiment id (e1..e9) or all")
+	quick := flag.Bool("quick", false, "shrink workloads for a fast smoke run")
+	flag.Usage = func() {
+		out := flag.CommandLine.Output()
+		fmt.Fprintln(out, "usage: experiments [-e all|e1..e9] [-quick]\n\nexperiments:")
+		for _, e := range experiments {
+			fmt.Fprintf(out, "  %s  %s\n", e.id, e.name)
+		}
+		fmt.Fprintln(out, "\nflags:")
+		flag.PrintDefaults()
+	}
+	flag.Parse()
 
 	ran := false
 	for _, e := range experiments {

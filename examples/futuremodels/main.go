@@ -3,7 +3,7 @@
 // the first eras of the drifting loan history and scores each method's
 // horizon-t model on the era that actually materializes t years later.
 //
-// This is a runnable miniature of experiment E4 (see EXPERIMENTS.md).
+// This is a runnable miniature of experiment E4 (go run ./cmd/experiments -e e4).
 //
 // Run with: go run ./examples/futuremodels
 package main

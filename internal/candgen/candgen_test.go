@@ -367,7 +367,7 @@ func TestConvergesWithinFewIterations(t *testing.T) {
 }
 
 // Property: for random rejected inputs, every returned candidate satisfies
-// the Definition II.3 invariant (E9 of DESIGN.md).
+// the Definition II.3 invariant (decision-altering and within constraints).
 func TestInvariantProperty(t *testing.T) {
 	schema := twoDSchema(t)
 	model := trainedForest(t)

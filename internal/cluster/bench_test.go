@@ -141,14 +141,14 @@ func serveLoad(b *testing.B, base string) {
 // cluster behind jitrouter on the same box, on the mixed create+ask
 // workload. It needs prebuilt binaries:
 //
-//	JITD_BIN=... JITROUTER_BIN=... go test ./internal/cluster -bench ClusterServe -benchtime 30s
-//
-// or CLUSTER=1 scripts/bench_compare.sh, which builds and wires them up.
+//	go build -o bin/ ./cmd/jitd ./cmd/jitrouter
+//	JITD_BIN=$PWD/bin/jitd JITROUTER_BIN=$PWD/bin/jitrouter \
+//	    go test ./internal/cluster -run '^$' -bench ClusterServe -benchtime 15s
 func BenchmarkClusterServe(b *testing.B) {
 	jitd := os.Getenv("JITD_BIN")
 	jitrouter := os.Getenv("JITROUTER_BIN")
 	if jitd == "" || jitrouter == "" {
-		b.Skip("set JITD_BIN and JITROUTER_BIN (see CLUSTER=1 scripts/bench_compare.sh)")
+		b.Skip("set JITD_BIN and JITROUTER_BIN to absolute paths of binaries from go build -o bin/ ./cmd/jitd ./cmd/jitrouter")
 	}
 
 	b.Run("single-process", func(b *testing.B) {

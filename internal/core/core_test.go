@@ -124,8 +124,9 @@ func TestEndToEndPipeline(t *testing.T) {
 	if n == 0 {
 		t.Fatal("no candidates generated")
 	}
-	// E9 invariant at the database level: every stored candidate row is
-	// decision-altering under its time's model and within constraints.
+	// Definition II.3 invariant at the database level: every stored
+	// candidate row is decision-altering under its time's model and within
+	// constraints.
 	res, err := sess.SQL("SELECT * FROM candidates")
 	if err != nil {
 		t.Fatal(err)

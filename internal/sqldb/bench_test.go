@@ -41,8 +41,8 @@ func benchDB(n, k int) *DB {
 	return db
 }
 
-// BenchmarkJoin is the DESIGN.md §5 join ablation: hash join vs nested loop
-// on the same equi-join.
+// BenchmarkJoin is the join ablation: hash join vs nested loop on the same
+// equi-join.
 func BenchmarkJoin(b *testing.B) {
 	const q = `SELECT COUNT(*) FROM candidates c INNER JOIN temporal_inputs ti ON c.time = ti.time`
 	for _, size := range []int{1000, 10000} {
@@ -161,7 +161,7 @@ func BenchmarkIndexRange(b *testing.B) {
 	}
 }
 
-// The three planner-v2 benchmarks compare each new plan shape against the
+// The two planner-v2 benchmarks compare each new plan shape against the
 // scan path it replaces, at a seed-sized candidate count (500) and at 100x
 // (50000) — the scale the ROADMAP targets for production sessions.
 
@@ -175,35 +175,6 @@ func plannerBenchSizes() []struct {
 	}{{"seed", 500}, {"100x", 50000}}
 }
 
-// BenchmarkIndexIntersection: two single-column indexes merged before the
-// residual filter vs the full scan.
-func BenchmarkIndexIntersection(b *testing.B) {
-	const q = "SELECT COUNT(*) FROM candidates WHERE time = 3 AND gap <= 1"
-	for _, size := range plannerBenchSizes() {
-		for _, planned := range []bool{false, true} {
-			b.Run(fmt.Sprintf("rows=%s/planned=%v", size.label, planned), func(b *testing.B) {
-				db := benchDB(size.rows, 64)
-				db.MustExec("CREATE INDEX candidates_time ON candidates (time)")
-				db.MustExec("CREATE INDEX candidates_gap ON candidates (gap)")
-				db.DisableIndexScan = !planned
-				// Pin the structural (pre-statistics) plan: this benchmark
-				// measures the v2 intersection shape; the cost-based flip to
-				// a single path is measured by BenchmarkStatsIntersectionFlip.
-				db.DisableStatsCosting = true
-				if planned {
-					assertBenchPlan(b, db, q, "index intersection of candidates_time (time=) and candidates_gap (gap range)")
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := db.Query(q); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkIndexJoin: the inner (large) table probed through its index per
 // outer row vs rebuilding a hash table over it on every query.
 func BenchmarkIndexJoin(b *testing.B) {
@@ -214,7 +185,6 @@ func BenchmarkIndexJoin(b *testing.B) {
 				db := benchDB(size.rows, 64)
 				db.MustExec("CREATE INDEX candidates_time ON candidates (time)")
 				db.DisableIndexScan = !planned
-				db.DisableStatsCosting = true // pin the v2 index-nested-loop shape
 				if planned {
 					assertBenchPlan(b, db, q, "index nested loop (candidates_time)")
 				}
@@ -253,12 +223,11 @@ func BenchmarkTopK(b *testing.B) {
 	}
 }
 
-// The planner-v3 benchmarks measure what the statistics change, at the seed
-// size (500), at 100x (50000), and — behind BENCH_LARGE=1, since building the
-// fixture dominates otherwise — at 10000x (5M). Each compares the structural
-// plan the v2 planner was locked to (DisableStatsCosting) against the plan
-// chosen after ANALYZE, asserting both shapes so a planner change cannot
-// silently benchmark the wrong thing.
+// The planner-v3 benchmarks measure the plans the statistics choose, at the
+// seed size (500), at 100x (50000), and — behind BENCH_LARGE=1, since
+// building the fixture dominates otherwise — at 10000x (5M). Each compares
+// the chosen plan against a baseline pinned by an ablation knob, asserting
+// both shapes so a planner change cannot silently benchmark the wrong thing.
 
 func statsBenchSizes() []struct {
 	label string
@@ -279,21 +248,21 @@ func statsBenchSizes() []struct {
 
 // BenchmarkStatsIntersectionFlip: with time = 3 selecting ~1/64 of the table
 // and gap <= 1 selecting half of it, the histogram prices the intersection's
-// second leg out and the stats plan probes candidates_time alone.
+// second leg out and the stats plan probes candidates_time alone; the
+// baseline is the full scan.
 func BenchmarkStatsIntersectionFlip(b *testing.B) {
 	const q = "SELECT COUNT(*) FROM candidates WHERE time = 3 AND gap <= 1"
 	for _, size := range statsBenchSizes() {
-		for _, analyzed := range []bool{false, true} {
-			b.Run(fmt.Sprintf("rows=%s/analyzed=%v", size.label, analyzed), func(b *testing.B) {
+		for _, plan := range []string{"scan", "stats"} {
+			b.Run(fmt.Sprintf("rows=%s/plan=%s", size.label, plan), func(b *testing.B) {
 				db := benchDB(size.rows, 64)
 				db.MustExec("CREATE INDEX candidates_time ON candidates (time)")
 				db.MustExec("CREATE INDEX candidates_gap ON candidates (gap)")
-				if analyzed {
+				if plan == "stats" {
 					db.MustExec("ANALYZE candidates")
 					assertBenchPlan(b, db, q, "using index candidates_time (time=) est_rows=")
 				} else {
-					db.DisableStatsCosting = true
-					assertBenchPlan(b, db, q, "index intersection of candidates_time (time=) and candidates_gap (gap range)")
+					db.DisableIndexScan = true
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -307,21 +276,21 @@ func BenchmarkStatsIntersectionFlip(b *testing.B) {
 }
 
 // BenchmarkStatsJoinFlip: candidates (outer, n rows) joined to
-// temporal_inputs (inner, 64 keys). The structural planner probes the inner
-// index once per outer row; the statistics see 50000 outer rows against 64
-// distinct inner keys and build the 64-entry hash table instead.
+// temporal_inputs (inner, 64 keys). The baseline (DisableHashJoin) probes the
+// inner index once per outer row; the statistics see 50000 outer rows
+// against 64 distinct inner keys and build the 64-entry hash table instead.
 func BenchmarkStatsJoinFlip(b *testing.B) {
 	const q = "SELECT COUNT(*) FROM candidates c INNER JOIN temporal_inputs ti ON ti.time = c.time"
 	for _, size := range statsBenchSizes() {
-		for _, analyzed := range []bool{false, true} {
-			b.Run(fmt.Sprintf("rows=%s/analyzed=%v", size.label, analyzed), func(b *testing.B) {
+		for _, plan := range []string{"index-nl", "stats"} {
+			b.Run(fmt.Sprintf("rows=%s/plan=%s", size.label, plan), func(b *testing.B) {
 				db := benchDB(size.rows, 64)
 				db.MustExec("CREATE INDEX temporal_inputs_time ON temporal_inputs (time)")
-				if analyzed {
+				if plan == "stats" {
 					db.MustExec("ANALYZE")
 					assertBenchPlan(b, db, q, "hash join")
 				} else {
-					db.DisableStatsCosting = true
+					db.DisableHashJoin = true
 					assertBenchPlan(b, db, q, "index nested loop (temporal_inputs_time)")
 				}
 				b.ResetTimer()
@@ -335,8 +304,8 @@ func BenchmarkStatsJoinFlip(b *testing.B) {
 	}
 }
 
-// BenchmarkOrUnion: a disjunction the v2 planner could only full-scan,
-// answered as a deduplicated union of two index probes.
+// BenchmarkOrUnion: a disjunction answered as a deduplicated union of two
+// index probes, against the full scan.
 func BenchmarkOrUnion(b *testing.B) {
 	const q = "SELECT * FROM candidates WHERE time = 3 OR time = 7"
 	for _, size := range statsBenchSizes() {
@@ -347,7 +316,7 @@ func BenchmarkOrUnion(b *testing.B) {
 				if expanded {
 					assertBenchPlan(b, db, q, "using index union of candidates_time (time=) and candidates_time (time=)")
 				} else {
-					db.DisableStatsCosting = true
+					db.DisableIndexScan = true
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -361,14 +330,14 @@ func BenchmarkOrUnion(b *testing.B) {
 }
 
 // BenchmarkCoveringPaged: a COUNT over one indexed column on a paged table
-// behind a tiny pool. The structural plan materializes every matched row —
-// faulting row pages through 8 frames on every query — while the covering
-// plan answers from the index key tuples and never touches a row page.
+// behind a tiny pool. The full scan materializes every row — faulting row
+// pages through 8 frames on every query — while the covering plan answers
+// from the index key tuples and never touches a row page.
 func BenchmarkCoveringPaged(b *testing.B) {
 	const q = "SELECT COUNT(*) FROM candidates WHERE time = 3"
 	for _, size := range statsBenchSizes() {
-		for _, covering := range []bool{false, true} {
-			b.Run(fmt.Sprintf("rows=%s/covering=%v", size.label, covering), func(b *testing.B) {
+		for _, plan := range []string{"scan", "covering"} {
+			b.Run(fmt.Sprintf("rows=%s/plan=%s", size.label, plan), func(b *testing.B) {
 				db := benchDB(size.rows, 64)
 				db.MustExec("CREATE INDEX candidates_time ON candidates (time)")
 				pool := pager.NewPool(8)
@@ -376,11 +345,10 @@ func BenchmarkCoveringPaged(b *testing.B) {
 					b.Fatal(err)
 				}
 				defer db.ClosePagedStores()
-				if covering {
+				if plan == "covering" {
 					assertBenchPlan(b, db, q, "covering index candidates_time (time=)")
 				} else {
-					db.DisableStatsCosting = true
-					assertBenchPlan(b, db, q, "using index candidates_time (time=)")
+					db.DisableIndexScan = true
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

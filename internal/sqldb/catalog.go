@@ -132,12 +132,6 @@ type DB struct {
 	// and equivalence tests. Set before issuing queries.
 	DisableIndexScan bool
 
-	// DisableStatsCosting reverts the planner to PR 4's purely structural
-	// behavior: no estimated-rows costing, no covering scans, no
-	// stats-driven join-strategy choice. The "v2 vs v3" benchmark knob.
-	// Set before issuing queries.
-	DisableStatsCosting bool
-
 	// schemaVersion bumps on any DDL (table or index); statsEpoch on any
 	// statistics event (see stats.go). Both stamp cached plans.
 	schemaVersion atomic.Uint64

@@ -10,7 +10,7 @@ import (
 // TestCoveringScanZeroPageFaults is the paged-storage acceptance test for
 // covering scans: once the index is built, a query answerable entirely from
 // index key tuples must not fault a single page back in — that is the whole
-// point of covering. The structural full-row path on the same query faults.
+// point of covering. The full scan of the same query faults.
 func TestCoveringScanZeroPageFaults(t *testing.T) {
 	db := New()
 	db.MustExec("CREATE TABLE candidates (time INT, income FLOAT)")
@@ -53,20 +53,20 @@ func TestCoveringScanZeroPageFaults(t *testing.T) {
 		t.Fatalf("covering scan faulted %d pages on an evicted pool, want 0", faults)
 	}
 
-	// Contrast: ablate covering (structural planning still uses the index,
-	// but fetches full rows) and the same query must fault pages back in.
-	db.DisableStatsCosting = true
-	defer func() { db.DisableStatsCosting = false }()
-	assertPlanContains(t, db, q, "using index candidates_time (time=)")
+	// Contrast: without the index the same query reads full rows and must
+	// fault pages back in.
+	db.DisableIndexScan = true
+	defer func() { db.DisableIndexScan = false }()
+	assertPlanContains(t, db, q, "scan candidates\n")
 	if err := pool.EvictAll(); err != nil {
 		t.Fatal(err)
 	}
 	m0 = pool.Stats().Misses
 	if got := count(); got != want {
-		t.Fatalf("structural count = %d, want %d", got, want)
+		t.Fatalf("scan count = %d, want %d", got, want)
 	}
 	if faults := pool.Stats().Misses - m0; faults == 0 {
-		t.Fatal("structural row-fetching scan faulted 0 pages; the covering contrast is vacuous")
+		t.Fatal("row-fetching scan faulted 0 pages; the covering contrast is vacuous")
 	}
 }
 

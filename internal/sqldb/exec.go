@@ -607,24 +607,20 @@ func (ex *executor) join(rels []relation, tuples []tuple, rel relation, rows [][
 			// Index nested-loop: the inner side must be a bare column of a
 			// stored table with a single-column index (the inner rows are
 			// then exactly the table's stored rows, so index positions
-			// address them), and the index must be NaN-free (Compare treats
-			// NaN as equal to every number; only the hash/scan paths
-			// reproduce that).
+			// address them).
 			if !ex.db.DisableIndexScan && t != nil {
 				if cr, isCol := right.(*ColumnRef); isCol {
 					if ci, ok := t.colIdx[cr.Column]; ok {
 						// The strategy choice reads the statistics available
 						// at plan time (possibly none — then the probe is
 						// kept) rather than forcing an index build first.
-						if ix := t.indexOn(ci); ix != nil && (ex.db.DisableHashJoin || ex.preferIndexNL(len(tuples), ix)) {
+						if ix := t.indexOn(ci); ix != nil && (ex.db.DisableHashJoin || preferIndexNL(len(tuples), ix)) {
 							if err := ix.ensure(t); err != nil {
 								return nil, err
 							}
-							if !ix.nan {
-								planCounts.indexJoin.Add(1)
-								ex.note("%s %s using index nested loop (%s)", kind, rel.alias, ix.name)
-								return ex.indexNestedLoopJoin(rels, tuples, rel, t, ix, left, leftJoin, parent)
-							}
+							planCounts.indexJoin.Add(1)
+							ex.note("%s %s using index nested loop (%s)", kind, rel.alias, ix.name)
+							return ex.indexNestedLoopJoin(rels, tuples, rel, t, ix, left, leftJoin, parent)
 						}
 					}
 				}
@@ -698,7 +694,9 @@ func (ex *executor) join(rels []relation, tuples []tuple, rel relation, rows [][
 // same Value.key() equality the hash join groups by (the index normalizes
 // BOOL to its numeric key and -0.0 to 0.0, which Value.key() does not — the
 // verification keeps the two join paths in exact agreement). NULL keys
-// never join on either side.
+// never join on either side. A NaN outer key probes no key (Compare would
+// match every number) and takes its candidates from nanRows instead, where
+// the key check keeps the inner NaN rows, as the hash join does.
 func (ex *executor) indexNestedLoopJoin(rels []relation, tuples []tuple, rel relation, t *Table, ix *tableIndex, left Expr, leftJoin bool, parent *scope) ([]tuple, error) {
 	col := ix.cols[0]
 	probe := make([]Value, 1)
@@ -716,7 +714,11 @@ func (ex *executor) indexNestedLoopJoin(rels []relation, tuples []tuple, rel rel
 		if !v.IsNull() {
 			probe[0] = v
 			pk := v.key()
-			for _, ri := range ix.lookupEqual(probe) {
+			cands := ix.nanRows
+			if !isNaN(v) {
+				cands = ix.lookupEqual(probe)
+			}
+			for _, ri := range cands {
 				row, err := ex.storeGet(t, ri)
 				if err != nil {
 					return nil, err
@@ -750,12 +752,8 @@ func padTuple(tp tuple, rel relation) tuple {
 // with statistics, probing beats building a hash table only while the outer
 // tuple count stays within the inner key cardinality (each probe is a hash
 // lookup either way; the hash join additionally materializes and hashes the
-// whole inner table). Without statistics, or with costing disabled, the
-// index probe is kept — the pre-stats structural behavior.
-func (ex *executor) preferIndexNL(outer int, ix *tableIndex) bool {
-	if ex.db.DisableStatsCosting {
-		return true
-	}
+// whole inner table). Without statistics the index probe is kept.
+func preferIndexNL(outer int, ix *tableIndex) bool {
 	s := ix.stats.Load()
 	if s == nil || s.rows == 0 || len(s.prefixNDV) == 0 || s.prefixNDV[0] == 0 {
 		return true // no stats, or an empty inner side: probing costs nothing

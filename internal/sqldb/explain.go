@@ -129,9 +129,9 @@ func (tr *planTrace) render() []string {
 // explain executes the SELECT with plan tracing enabled, discards the rows,
 // and returns the recorded plan — one text line per result row under the
 // single column "plan". Because the query really executes, the plan is the
-// one the current data shape actually gets (a NaN-poisoned index that falls
-// back to a scan shows as the scan it became), and execution errors surface
-// exactly as they would without EXPLAIN.
+// one the current data shape actually gets (a NaN probe that falls back to
+// a scan shows as the scan it became), and execution errors surface exactly
+// as they would without EXPLAIN.
 func (ex *executor) explain(sel *SelectStmt) (*Result, error) {
 	ex.trace = &planTrace{seen: make(map[*SelectStmt]bool)}
 	if _, err := ex.execSelect(sel, nil); err != nil {

@@ -17,7 +17,10 @@ import (
 // matches a NULL); the excluded rows are remembered in nullRows so prefix
 // scans that constrain only a leading subset of the columns can still
 // return a superset of the matching rows, and so top-k scans can place NULL
-// order keys first or last.
+// order keys first or last. A row with no NULL but a NaN in some indexed
+// column is excluded too and remembered in nanRows: Compare calls NaN equal
+// to every number, which no sorted order can hold, so every probe adds
+// nanRows to its candidates and the residual WHERE decides.
 //
 // The index is built lazily: lookups call ensure, which compares the
 // version the index was built at against the table's mutation counter and
@@ -41,12 +44,10 @@ type tableIndex struct {
 	rows   []int
 	starts []int32
 	// nullRows are the positions excluded from keys because some indexed
-	// column is NULL, in ascending row order.
+	// column is NULL, in ascending row order; nanRows those excluded
+	// because some indexed column is NaN (and none is NULL), likewise.
 	nullRows []int
-	// nan records that an indexed column holds a NaN: Compare treats NaN as
-	// equal to every number, which the sorted order cannot represent, so
-	// the index disables itself and scans keep parity.
-	nan bool
+	nanRows  []int
 
 	// stats is the distribution snapshot the cost model reads (see
 	// stats.go). It is published atomically because readers cost paths
@@ -71,37 +72,13 @@ func (ix *tableIndex) keyRows(ki int) []int {
 
 // compareKeyTuples orders two key tuples lexicographically. Keys of one
 // column share a comparable group (values are coerced to the column type on
-// insert), so Compare cannot fail between keys; a Compare error counts as
-// "equal", which is why probes are checked with probeable first.
+// insert) and hold no NaN, so Compare is a total order between keys; a
+// Compare error counts as "equal", which is why probes are checked with
+// probeable first.
 func compareKeyTuples(a, b []Value) int {
 	for i := range a {
 		c, _ := Compare(a[i], b[i])
 		if c != 0 {
-			return c
-		}
-	}
-	return 0
-}
-
-// compareKeyTuplesNaN is compareKeyTuples with NaN ordered after every
-// number and equal only to NaN. Compare calls NaN equal to every number,
-// which is no order: a sort by it leaves a NaN tuple anywhere and may fold
-// it into a number's key. ensure sorts by this order when a key holds a
-// NaN, so each NaN tuple keeps a key of its own that the statistics set
-// aside; the index itself stays disabled (see nan).
-func compareKeyTuplesNaN(a, b []Value) int {
-	for i := range a {
-		an, bn := isNaN(a[i]), isNaN(b[i])
-		if an || bn {
-			if an != bn {
-				if an {
-					return 1
-				}
-				return -1
-			}
-			continue
-		}
-		if c, _ := Compare(a[i], b[i]); c != 0 {
 			return c
 		}
 	}
@@ -128,9 +105,9 @@ func (ix *tableIndex) ensure(t *Table) error {
 	n := t.store.Len()
 	tuples := make([]Value, 0, n*w)
 	pos := make([]int, 0, n)
-	var nullRows []int
-	nan := false
+	var nullRows, nanRows []int
 	err := t.store.Scan(func(ri int, row []Value) error {
+		nan := false
 		for _, ci := range ix.cols {
 			v := row[ci]
 			if v.IsNull() {
@@ -138,10 +115,13 @@ func (ix *tableIndex) ensure(t *Table) error {
 				nullRows = append(nullRows, ri)
 				return nil
 			}
-			if isNaN(v) {
-				nan = true
-			}
+			nan = nan || isNaN(v)
 			tuples = append(tuples, v)
+		}
+		if nan {
+			tuples = tuples[:len(pos)*w]
+			nanRows = append(nanRows, ri)
+			return nil
 		}
 		pos = append(pos, ri)
 		return nil
@@ -156,17 +136,13 @@ func (ix *tableIndex) ensure(t *Table) error {
 	for i := range order {
 		order[i] = int32(i)
 	}
-	compareTuples := compareKeyTuples
-	if nan {
-		compareTuples = compareKeyTuplesNaN
-	}
 	slices.SortFunc(order, func(a, b int32) int {
-		if c := compareTuples(tuple(a), tuple(b)); c != 0 {
+		if c := compareKeyTuples(tuple(a), tuple(b)); c != 0 {
 			return c
 		}
 		return cmp.Compare(a, b)
 	})
-	newKey := func(i int) bool { return i == 0 || compareTuples(tuple(order[i-1]), tuple(order[i])) != 0 }
+	newKey := func(i int) bool { return i == 0 || compareKeyTuples(tuple(order[i-1]), tuple(order[i])) != 0 }
 	nk := 0
 	for i := range order {
 		if newKey(i) {
@@ -187,7 +163,7 @@ func (ix *tableIndex) ensure(t *Table) error {
 	ix.rows = rows
 	ix.starts = append(starts, int32(len(rows)))
 	ix.nullRows = nullRows
-	ix.nan = nan
+	ix.nanRows = nanRows
 	ix.built = t.version
 	// The sorted distinct tuples and their row runs are exactly what the
 	// statistics need; derive them here for free. Only the FIRST derivation

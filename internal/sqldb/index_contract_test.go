@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -56,11 +57,12 @@ func sortedCopy(pos []int) []int {
 
 // TestIndexLookupContract checks the flat index against a Compare scan over
 // random two-column tables: lookupEqual and lookupPrefixRange return exactly
-// the keyed rows (no NULL in an indexed column) that the scan keeps, where
-// a Compare error (NULL, TEXT against a number) is no match. A NaN probe is
-// the one case the two differ — NaN compares equal to every number — so
-// the planner never probes with one (comparableWith) and the index returns
-// nothing for it. A table holding a NaN must disable its index.
+// the keyed rows (no NULL or NaN in an indexed column) that the scan keeps,
+// where a Compare error (NULL, TEXT against a number) is no match. nanRows
+// holds exactly the rows with a NaN and no NULL, so a lookup plus nanRows
+// covers every row the scan keeps. A NaN probe is the one case that fails —
+// NaN compares equal to every number — so the planner never probes with one
+// (comparableWith) and the index returns nothing for it.
 func TestIndexLookupContract(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	types := []Type{IntType, FloatType, BoolType, TextType}
@@ -97,15 +99,14 @@ func TestIndexLookupContract(t *testing.T) {
 		if err := ix.ensure(tbl); err != nil {
 			t.Fatal(err)
 		}
-		hasNaN := false // the build stops at a row's first NULL column
-		for _, r := range rows {
-			hasNaN = hasNaN || isNaN(r[0]) || !r[0].IsNull() && isNaN(r[1])
-		}
-		if hasNaN {
-			if !ix.nan {
-				t.Fatalf("iter %d: a NaN key did not disable the index", iter)
+		var nanRows []int // a NULL sends the row to nullRows instead
+		for ri, r := range rows {
+			if !r[0].IsNull() && !r[1].IsNull() && (isNaN(r[0]) || isNaN(r[1])) {
+				nanRows = append(nanRows, ri)
 			}
-			continue
+		}
+		if !slices.Equal(ix.nanRows, nanRows) {
+			t.Fatalf("iter %d: nanRows = %v, want %v (rows %v)", iter, ix.nanRows, nanRows, rows)
 		}
 
 		// Layout: keys strictly ascending, each key's rows ascending and
@@ -124,18 +125,33 @@ func TestIndexLookupContract(t *testing.T) {
 			}
 			seen += len(rs)
 		}
-		if seen+len(ix.nullRows) != len(rows) {
-			t.Fatalf("iter %d: %d keyed + %d null rows, want %d", iter, seen, len(ix.nullRows), len(rows))
+		if seen+len(ix.nullRows)+len(nanRows) != len(rows) {
+			t.Fatalf("iter %d: %d keyed + %d null + %d NaN rows, want %d", iter, seen, len(ix.nullRows), len(nanRows), len(rows))
 		}
 
-		scan := func(keep func(r []Value) bool) []int {
-			var out []int
+		// check asserts that got is exactly the keyed rows keep accepts
+		// under the Compare scan. Every other row keep accepts is then in
+		// nanRows, so got plus nanRows (what a probe returns) covers the
+		// scan. A NaN probe finds nothing.
+		check := func(what string, got []int, nanProbe bool, keep func(r []Value) bool) {
+			t.Helper()
+			var want []int
 			for ri, r := range rows {
-				if !r[0].IsNull() && !r[1].IsNull() && keep(r) {
-					out = append(out, ri)
+				if !nanProbe && !r[0].IsNull() && !r[1].IsNull() && !slices.Contains(nanRows, ri) && keep(r) {
+					want = append(want, ri)
 				}
 			}
-			return out
+			if !slices.Equal(got, want) {
+				t.Fatalf("iter %d: %s = %v, scan %v (rows %v, nanRows %v)", iter, what, got, want, rows, nanRows)
+			}
+		}
+		anyNaN := func(vs ...*Value) bool {
+			for _, v := range vs {
+				if v != nil && isNaN(*v) {
+					return true
+				}
+			}
+			return false
 		}
 		for p := 0; p < 40; p++ {
 			pa, pb := contractProbe(rng), contractProbe(rng)
@@ -149,43 +165,17 @@ func TestIndexLookupContract(t *testing.T) {
 				hi = &v
 			}
 			loS, hiS := rng.Intn(2) == 0, rng.Intn(2) == 0
-			anyNaN := func(vs ...*Value) bool {
-				for _, v := range vs {
-					if v != nil && isNaN(*v) {
-						return true
-					}
-				}
-				return false
-			}
 
-			got := ix.lookupEqual([]Value{pa, pb})
-			want := scan(func(r []Value) bool { return eqMatch(r[0], pa) && eqMatch(r[1], pb) })
-			if anyNaN(&pa, &pb) {
-				want = nil
-			}
-			if !slices.Equal(got, want) {
-				t.Fatalf("iter %d: lookupEqual(%v, %v) = %v, scan %v (rows %v)", iter, pa, pb, got, want, rows)
-			}
-
-			got = sortedCopy(ix.lookupPrefixRange([]Value{pa}, lo, hi, loS, hiS))
-			want = scan(func(r []Value) bool {
-				return eqMatch(r[0], pa) && boundMatch(r[1], lo, loS, 1) && boundMatch(r[1], hi, hiS, -1)
-			})
-			if anyNaN(&pa, lo, hi) {
-				want = nil
-			}
-			if !slices.Equal(got, want) {
-				t.Fatalf("iter %d: lookupPrefixRange([%v], %v, %v, %v, %v) = %v, scan %v (rows %v)", iter, pa, lo, hi, loS, hiS, got, want, rows)
-			}
-
-			got = sortedCopy(ix.lookupPrefixRange(nil, lo, hi, loS, hiS))
-			want = scan(func(r []Value) bool { return boundMatch(r[0], lo, loS, 1) && boundMatch(r[0], hi, hiS, -1) })
-			if anyNaN(lo, hi) {
-				want = nil
-			}
-			if !slices.Equal(got, want) {
-				t.Fatalf("iter %d: lookupPrefixRange([], %v, %v, %v, %v) = %v, scan %v (rows %v)", iter, lo, hi, loS, hiS, got, want, rows)
-			}
+			check(fmt.Sprintf("lookupEqual(%v, %v)", pa, pb), ix.lookupEqual([]Value{pa, pb}), anyNaN(&pa, &pb),
+				func(r []Value) bool { return eqMatch(r[0], pa) && eqMatch(r[1], pb) })
+			check(fmt.Sprintf("lookupPrefixRange([%v], %v, %v, %v, %v)", pa, lo, hi, loS, hiS),
+				sortedCopy(ix.lookupPrefixRange([]Value{pa}, lo, hi, loS, hiS)), anyNaN(&pa, lo, hi),
+				func(r []Value) bool {
+					return eqMatch(r[0], pa) && boundMatch(r[1], lo, loS, 1) && boundMatch(r[1], hi, hiS, -1)
+				})
+			check(fmt.Sprintf("lookupPrefixRange([], %v, %v, %v, %v)", lo, hi, loS, hiS),
+				sortedCopy(ix.lookupPrefixRange(nil, lo, hi, loS, hiS)), anyNaN(lo, hi),
+				func(r []Value) bool { return boundMatch(r[0], lo, loS, 1) && boundMatch(r[0], hi, hiS, -1) })
 		}
 	}
 }

@@ -258,20 +258,61 @@ func TestIndexNegativeZeroEquality(t *testing.T) {
 	}
 }
 
-func TestIndexNaNFallsBackToScan(t *testing.T) {
+func TestIndexNaNKeepsIndexPlan(t *testing.T) {
 	db := New()
 	db.MustExec("CREATE TABLE t (x FLOAT)")
 	db.MustExec("CREATE INDEX t_x ON t (x)")
 	if err := db.InsertRows("t", [][]Value{{Float(5)}, {Float(math.NaN())}, {Float(2)}}); err != nil {
 		t.Fatal(err)
 	}
-	// Compare treats NaN as equal to every number, which no hash or sorted
-	// structure can mirror; the index must disable itself so both paths
-	// agree (queryBoth fails on any divergence).
-	queryBoth(t, db, "SELECT COUNT(*) FROM t WHERE x = 5")
-	queryBoth(t, db, "SELECT COUNT(*) FROM t WHERE x BETWEEN 1 AND 9")
-	// A NaN probe likewise falls back to the scan path.
+	// Compare treats NaN as equal to every number, which no sorted key
+	// order can mirror: the NaN row stays out of the keys and every probe
+	// adds it to its candidates, so the index keeps answering and both
+	// paths agree (queryBoth fails on any divergence).
+	for _, q := range []string{
+		"SELECT COUNT(*) FROM t WHERE x = 5",
+		"SELECT COUNT(*) FROM t WHERE x BETWEEN 1 AND 9",
+		"SELECT COUNT(*) FROM t WHERE x < 5",
+		"SELECT x FROM t WHERE x = 2 OR x = 5",
+	} {
+		assertPlanContains(t, db, q, "t_x (x")
+		queryBoth(t, db, q)
+	}
+	// A NaN probe matches every number, which only the scan path answers.
 	queryBoth(t, db, "SELECT COUNT(*) FROM t WHERE x = ?", Float(math.NaN()))
+}
+
+// TestNaNIndexPlan: a NaN in one indexed column must not keep the planner
+// from the other index. Over 200 rows with four NaN in a, a = 7 admits the
+// four NaN rows besides its one keyed match, so the path on b is cheaper.
+func TestNaNIndexPlan(t *testing.T) {
+	db := New()
+	db.MustExec("CREATE TABLE t (a FLOAT, b INT)")
+	rows := make([][]Value, 200)
+	for i := range rows {
+		a := Float(float64(i))
+		if i%50 == 17 {
+			a = Float(math.NaN())
+		}
+		rows[i] = []Value{a, Int(int64(i))}
+	}
+	if err := db.InsertRows("t", rows); err != nil {
+		t.Fatal(err)
+	}
+	db.MustExec("CREATE INDEX t_a ON t (a)")
+	db.MustExec("CREATE INDEX t_b ON t (b)")
+	db.MustExec("ANALYZE")
+	for _, q := range []string{
+		"SELECT * FROM t WHERE b = 3",
+		"SELECT * FROM t WHERE a = 7 AND b = 3",
+	} {
+		assertPlanContains(t, db, q, "using index t_b (b=)")
+		queryBoth(t, db, q)
+	}
+	// NaN rows match a = 7 (Compare calls NaN equal to every number).
+	if res := queryBoth(t, db, "SELECT COUNT(*) FROM t WHERE a = 7"); res.Rows[0][0] != Int(5) {
+		t.Fatalf("a = 7 counted %v, want 5 (one keyed row and four NaN)", res.Rows[0][0])
+	}
 }
 
 func TestIndexIsNotAReservedWord(t *testing.T) {

@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -143,5 +144,32 @@ func TestIndexJoinKeyFamilyParity(t *testing.T) {
 	res := runJoinAllPaths(t, db, `SELECT l.k, r.k FROM l INNER JOIN r ON l.k = r.k`)
 	if len(res.Rows) != 1 {
 		t.Fatalf("numeric-family join rows = %d, want 1 (INT 1 = FLOAT 1.0)", len(res.Rows))
+	}
+}
+
+// TestJoinNaNKeysAllPaths: the hash join groups keys by Value.key(), under
+// which a NaN key equals only NaN. The index join must match the same pairs
+// although NaN rows sit outside the index keys, in nanRows.
+func TestJoinNaNKeysAllPaths(t *testing.T) {
+	db := New()
+	db.MustExec("CREATE TABLE l (id INT, k FLOAT)")
+	db.MustExec("CREATE TABLE r (k FLOAT, tag TEXT)")
+	nan := Float(math.NaN())
+	if err := db.InsertRows("l", [][]Value{{Int(1), Float(1)}, {Int(2), nan}, {Int(3), Float(2.5)}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.InsertRows("r", [][]Value{
+		{Float(1), Text("one")}, {nan, Text("nan")}, {Float(2.5), Text("two")}, {nan, Text("nan2")}, {Float(4), Text("four")},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	db.MustExec("CREATE INDEX r_k ON r (k)")
+	const inner = `SELECT l.id, r.tag FROM l INNER JOIN r ON l.k = r.k ORDER BY l.id`
+	const left = `SELECT l.id, r.tag FROM l LEFT JOIN r ON l.k = r.k ORDER BY l.id`
+	for _, q := range []string{inner, left} {
+		assertPlanContains(t, db, q, "index nested loop (r_k)")
+		if res := runJoinAllPaths(t, db, q); len(res.Rows) != 4 {
+			t.Fatalf("%s: rows = %d, want 4 (the NaN key joins both NaN rows)", q, len(res.Rows))
+		}
 	}
 }

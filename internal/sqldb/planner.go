@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -436,9 +437,10 @@ func buildPaths(t *Table, set sargSet) []accessPath {
 // index's statistics: an equality prefix divides rows by the prefix NDV, an
 // IN list multiplies one deeper prefix's share by its member count, a range
 // on the leading column reads the histogram, a range on a later column
-// applies a fixed selectivity. Unconstrained trailing columns re-admit the
-// index's NULL rows (as pathPositions does). The estimate is clamped to
-// [1, rows+nullRows]; ok=false when no statistics have been derived yet.
+// applies a fixed selectivity. Every path re-admits the index's NaN rows and
+// unconstrained trailing columns its NULL rows (as pathPositions does). The
+// estimate is clamped to [1, rows+nullRows+nanRows]; ok=false when no
+// statistics have been derived yet.
 func pathEstimate(p accessPath) (float64, bool) {
 	s := p.ix.stats.Load()
 	if s == nil {
@@ -462,13 +464,14 @@ func pathEstimate(p accessPath) (float64, bool) {
 			est *= defaultRangeSelectivity
 		}
 	}
+	est += float64(s.nanRows)
 	if p.usedCols() < len(p.ix.cols) {
 		est += float64(s.nullRows)
 	}
 	if est < 1 {
 		est = 1
 	}
-	if max := rows + float64(s.nullRows); est > max {
+	if max := rows + float64(s.nullRows+s.nanRows); est > max {
 		est = max
 	}
 	return est, true
@@ -500,13 +503,13 @@ func combinedEstimate(paths []accessPath, tableRows int) (float64, bool) {
 }
 
 // choosePaths picks which candidate paths to execute. With statistics on
-// every candidate (and costing enabled) the order is by estimated rows,
-// cheapest first, and an extra path joins the intersection only when its
-// pruning pays for its lookups; without statistics the structural order
-// applies — most constrained columns first, equality beating range,
-// covering beating non-covering, narrower indexes beating wider ones, name
-// as the deterministic tiebreak — and any path constraining a new column
-// joins the intersection. The second result reports whether the chosen plan
+// every candidate the order is by estimated rows, cheapest first (the
+// structural order below breaks ties), and an extra path joins the
+// intersection only when its pruning pays for its lookups; without
+// statistics the structural order applies — most constrained columns first,
+// equality beating range, covering beating non-covering, narrower indexes
+// beating wider ones, name as the deterministic tiebreak — and any path
+// constraining a new column joins the intersection. The second result reports whether the chosen plan
 // is a covering scan: a single path whose index holds every column the
 // statement reads (see coveringRefs) — an intersection already touches
 // several indexes, so covering only applies to one-path plans.
@@ -514,7 +517,6 @@ func (ex *executor) choosePaths(t *Table, paths []accessPath, coverCols map[int]
 	if len(paths) == 0 {
 		return nil, false
 	}
-	costing := !ex.db.DisableStatsCosting
 	type cand struct {
 		p      accessPath
 		est    float64
@@ -522,14 +524,14 @@ func (ex *executor) choosePaths(t *Table, paths []accessPath, coverCols map[int]
 		cover  bool
 	}
 	cands := make([]cand, len(paths))
-	allEst := costing
+	allEst := true
 	for i, p := range paths {
 		c := cand{p: p}
 		c.est, c.hasEst = pathEstimate(p)
 		if !c.hasEst {
 			allEst = false
 		}
-		if coverOK && costing {
+		if coverOK {
 			c.cover = true
 			for ci := range coverCols {
 				found := false
@@ -610,11 +612,12 @@ func (ex *executor) choosePaths(t *Table, paths []accessPath, coverCols map[int]
 	return out, len(chosen) == 1 && chosen[0].cover
 }
 
-// pathPositions computes the candidate row positions of one path. When the
-// path leaves trailing index columns unconstrained, rows missing from the
-// key structures only because of a NULL in such a column could still match,
-// so nullRows join the candidate set (the residual WHERE filters them).
-// The result is a superset of the rows the full WHERE keeps.
+// pathPositions computes the candidate row positions of one path. NaN
+// compares equal to every number, so nanRows always join the candidate set;
+// when the path leaves trailing index columns unconstrained, rows missing
+// from the key structures only because of a NULL in such a column could
+// still match, so nullRows join too (the residual WHERE filters both). The
+// result is a superset of the rows the full WHERE keeps.
 func pathPositions(p accessPath) []int {
 	var pos []int
 	switch {
@@ -635,8 +638,12 @@ func pathPositions(p accessPath) []int {
 		}
 		pos = p.ix.lookupPrefixRange(p.eq, lo, hi, loS, hiS) // shared with the index — read only
 	}
-	if p.usedCols() < len(p.ix.cols) && len(p.ix.nullRows) > 0 {
-		pos = append(append(make([]int, 0, len(pos)+len(p.ix.nullRows)), pos...), p.ix.nullRows...)
+	var nulls []int
+	if p.usedCols() < len(p.ix.cols) {
+		nulls = p.ix.nullRows
+	}
+	if len(nulls)+len(p.ix.nanRows) > 0 {
+		pos = slices.Concat(pos, nulls, p.ix.nanRows)
 	}
 	return pos
 }
@@ -718,18 +725,11 @@ func (ex *executor) indexScan(t *Table, rel relation, sel *SelectStmt, parent *s
 		}
 		built := buildPaths(t, set)
 		if len(built) == 0 {
-			if !db.DisableStatsCosting {
-				// No conjunct is sargable on its own; a top-level OR whose
-				// disjuncts all are can still avoid the full scan.
-				return ex.orUnionScan(t, rel, sel, parent)
-			}
-			return nil, false, nil
+			// No conjunct is sargable on its own; a top-level OR whose
+			// disjuncts all are can still avoid the full scan.
+			return ex.orUnionScan(t, rel, sel, parent)
 		}
-		var coverCols map[int]bool
-		coverOK := false
-		if !db.DisableStatsCosting {
-			coverCols, coverOK = ex.coveringRefs(sel, t, rel)
-		}
+		coverCols, coverOK := ex.coveringRefs(sel, t, rel)
 		paths, covering = ex.choosePaths(t, built, coverCols, coverOK)
 		plans.put(sel, planTemplateOf(schemaV, statsE, paths, covering))
 		if ex.span != nil {
@@ -740,11 +740,9 @@ func (ex *executor) indexScan(t *Table, rel relation, sel *SelectStmt, parent *s
 	// was chosen under, not the ones this execution's index builds derive.
 	suffix := ""
 	estRows := int64(-1)
-	if !db.DisableStatsCosting {
-		if e, ok := combinedEstimate(paths, t.store.Len()); ok {
-			estRows = int64(e + 0.5)
-			suffix = fmt.Sprintf(" est_rows=%d", estRows)
-		}
+	if e, ok := combinedEstimate(paths, t.store.Len()); ok {
+		estRows = int64(e + 0.5)
+		suffix = fmt.Sprintf(" est_rows=%d", estRows)
 	}
 	if cached {
 		suffix += " (cached)"
@@ -753,9 +751,6 @@ func (ex *executor) indexScan(t *Table, rel relation, sel *SelectStmt, parent *s
 	for i, p := range paths {
 		if err := p.ix.ensure(t); err != nil {
 			return nil, false, err
-		}
-		if p.ix.nan {
-			return nil, false, nil // NaN in an indexed column: only a scan has parity
 		}
 		sets[i] = pathPositions(p)
 	}
@@ -824,7 +819,7 @@ func (ex *executor) sentinelRows(t *Table) ([][]Value, bool, error) {
 // so rows admitted by one disjunct's path are still checked against the
 // whole predicate. Every disjunct must independently yield a path (a
 // disjunct only a full scan can answer makes the union pointless), a NULL
-// probe disjunct contributes no rows, and incomparable probes or NaN force
+// probe disjunct contributes no rows, and incomparable or NaN probes force
 // the full-scan parity fallback. Union plans are re-derived per execution
 // rather than cached — the per-disjunct sarg collection is the expensive
 // part and it cannot be skipped anyway.
@@ -867,9 +862,6 @@ func (ex *executor) orUnionScan(t *Table, rel relation, sel *SelectStmt, parent 
 		for _, p := range paths {
 			if err := p.ix.ensure(t); err != nil {
 				return nil, false, err
-			}
-			if p.ix.nan {
-				return nil, false, nil
 			}
 			for _, ri := range pathPositions(p) {
 				if !seen[ri] {
@@ -1019,7 +1011,7 @@ func walkColumnRefs(e Expr, visit func(*ColumnRef), sub *bool) {
 // full scan. Every position is returned; WHERE, if any, stays residual.
 // On paged tables this touches zero row pages.
 func (ex *executor) coveringFullScan(t *Table, rel relation, sel *SelectStmt) ([][]Value, bool, error) {
-	if t == nil || len(t.indexes) == 0 || ex.db.DisableIndexScan || ex.db.DisableStatsCosting {
+	if t == nil || len(t.indexes) == 0 || ex.db.DisableIndexScan {
 		return nil, false, nil
 	}
 	refs, ok := ex.coveringRefs(sel, t, rel)
@@ -1052,9 +1044,6 @@ func (ex *executor) coveringFullScan(t *Table, rel relation, sel *SelectStmt) ([
 	if err := best.ensure(t); err != nil {
 		return nil, false, err
 	}
-	if best.nan {
-		return nil, false, nil
-	}
 	pos := make([]int, t.store.Len())
 	for i := range pos {
 		pos[i] = i
@@ -1075,7 +1064,7 @@ func (ex *executor) coveringFullScan(t *Table, rel relation, sel *SelectStmt) ([
 // covering gate guarantees it) and stay NULL. Rows the key structures
 // exclude are the exceptions: a single-column index's NULL rows synthesize
 // as all-NULL (the one referenced column IS NULL there), while composite
-// NULL rows and the sentinel row materialize through the store.
+// NULL rows, NaN rows and the sentinel row materialize through the store.
 func coveringRows(t *Table, p accessPath, pos []int, tk *pager.Tracker) ([][]Value, error) {
 	ix := p.ix
 	tup := make(map[int][]Value, len(pos))
@@ -1241,7 +1230,9 @@ func (ex *executor) tryTopK(sel *SelectStmt, parent *scope) (*Result, bool, erro
 	if err := ix.ensure(t); err != nil {
 		return nil, true, err
 	}
-	if ix.nan {
+	if len(ix.nanRows) > 0 {
+		// NaN has no place in the key order, and it matches every number
+		// of an equality prefix: only the general sort reproduces that.
 		return nil, false, nil
 	}
 	if len(ix.nullRows) > 0 && len(orderCols) > 1 {

@@ -2,7 +2,6 @@ package sqldb
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 )
 
@@ -57,12 +56,8 @@ type indexStats struct {
 // deriveIndexStats computes statistics from a freshly built index, whose
 // distinct key tuples are in sorted order with their row runs.
 func deriveIndexStats(ix *tableIndex) *indexStats {
-	nanRows := 0
-	if ix.nan {
-		ix, nanRows = ix.withoutNaN()
-	}
 	ncols, nk := len(ix.cols), ix.nkeys()
-	s := &indexStats{rows: len(ix.rows), nullRows: len(ix.nullRows), nanRows: nanRows, prefixNDV: make([]int, ncols)}
+	s := &indexStats{rows: len(ix.rows), nullRows: len(ix.nullRows), nanRows: len(ix.nanRows), prefixNDV: make([]int, ncols)}
 	// Keys are sorted lexicographically, so a k-prefix is new exactly when
 	// it differs from the previous key within the first k columns.
 	for ki := 0; ki < nk; ki++ {
@@ -103,27 +98,6 @@ func deriveIndexStats(ix *tableIndex) *indexStats {
 		}
 	}
 	return s
-}
-
-// withoutNaN returns a copy of ix's keys and row runs without the keys that
-// hold a NaN, and the number of rows it left out. Compare calls NaN equal
-// to every number, so NaN has no place in a distinct count or a histogram;
-// the statistics count its rows apart. ensure sorts NaN keys after the
-// numbers, so the keys that remain are still in order.
-func (ix *tableIndex) withoutNaN() (*tableIndex, int) {
-	out := &tableIndex{cols: ix.cols, nullRows: ix.nullRows, starts: []int32{0}}
-	nan := 0
-	for ki := 0; ki < ix.nkeys(); ki++ {
-		rows := ix.keyRows(ki)
-		if slices.ContainsFunc(ix.key(ki), isNaN) {
-			nan += len(rows)
-			continue
-		}
-		out.keys = append(out.keys, ix.key(ki)...)
-		out.rows = append(out.rows, rows...)
-		out.starts = append(out.starts, int32(len(out.rows)))
-	}
-	return out, nan
 }
 
 // rowsBelow estimates how many rows have leading column < v (or <= v when
