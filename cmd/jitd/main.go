@@ -21,10 +21,9 @@
 //	GET    /api/sessions/{id}/plan     structured best plan per time point
 //	POST   /api/sessions/{id}/ask      {"kind": "...", "feature": "...", "alpha": 0.7}
 //	POST   /api/sessions/{id}/sql      {"query": "SELECT ..."} (SELECT only, row-capped)
-//	GET    /debug/vars                 expvar metrics (sessions, evictions, WAL)
+//	GET    /metrics                    Prometheus text exposition (every metric)
 //	GET    /debug/requests             sampled recent request traces (span trees)
 //	GET    /debug/requests/slow        every request over -slow-request, with plans
-//	GET    /metrics                    Prometheus text exposition
 //
 // Sessions are held in memory under an idle TTL and an LRU-evicting cap;
 // session creation is cancelled when the client disconnects. The session
@@ -52,16 +51,18 @@
 // slotted pages that fault in from disk through one shared N-frame buffer
 // pool and evict under memory pressure, so the resident heap cost of an idle
 // session is its page directory rather than its rows. Pool behavior is
-// observable on /debug/vars as jitd_pool_{hits,misses,evictions,pinned,
-// dirty_writebacks,resident_pages}.
+// observable on /metrics as jitd_pool_{hits,misses,evictions,
+// dirty_writebacks}_total, jitd_pool_{pinned,resident_pages} and
+// jitd_pool_fault_duration_seconds.
 //
 // Every request carries a trace: spans across the session manager, planner,
 // executor, pager and durability layer, tail-sampled into two rings. Fast
 // requests are kept 1-in-(-trace-sample); every request at or over
 // -slow-request is kept unconditionally with its query plan rendered (the
 // slow-query log on /debug/requests/slow). -log-format selects text or json
-// structured logs; -debug-addr, when set, serves net/http/pprof and
-// /debug/vars on a separate listener.
+// structured logs; -debug-addr, when set, serves net/http/pprof (and Go's
+// default expvar page, which holds the runtime's memstats and cmdline plus
+// the session-lifecycle counters) on a separate listener.
 //
 // Cluster mode. With -cluster-config (the jitrouter shard map) and
 // -shard-name, this process runs as one shard: it mints only session IDs it
@@ -78,14 +79,13 @@
 // answers 503 + Retry-After until POST /admin/promote stops ingest and
 // opens the full API over the replicated session tree (sessions rehydrate
 // lazily from local disk). GET /admin/standby reports ingest counters while
-// waiting.
+// waiting, and GET /metrics renders them as the jitd_replica_* families.
 package main
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -102,6 +102,7 @@ import (
 	"justintime"
 	"justintime/internal/cluster"
 	"justintime/internal/fault"
+	"justintime/internal/obs"
 	"justintime/internal/server"
 	"justintime/internal/sqldb/persist"
 )
@@ -125,7 +126,7 @@ func main() {
 	slowRequest := flag.Duration("slow-request", 25*time.Millisecond, "requests at or over this duration are always kept in the slow-trace ring with rendered plans")
 	traceSample := flag.Int("trace-sample", 16, "keep 1 in N fast requests in the recent-trace ring")
 	logFormat := flag.String("log-format", "text", "structured log encoding: text or json")
-	debugAddr := flag.String("debug-addr", "", "separate listener for net/http/pprof and /debug/vars; empty = off")
+	debugAddr := flag.String("debug-addr", "", "separate listener for net/http/pprof and Go's default expvar page; empty = off")
 	clusterConfig := flag.String("cluster-config", "", "shard map JSON (the jitrouter config); with -shard-name, mint only owned session IDs")
 	shardName := flag.String("shard-name", "", "this process's name in -cluster-config")
 	replicateTo := flag.String("replicate-to", "", "warm standby's replication listener host:port; streams WAL + checkpoints there (requires -data-dir)")
@@ -235,7 +236,6 @@ func main() {
 		if err != nil {
 			fatal(logger, "building replica failed", "err", err)
 		}
-		server.RegisterReplica(replica)
 		rln, err := net.Listen("tcp", *replicationListen)
 		if err != nil {
 			fatal(logger, "replication listener failed", "err", err)
@@ -265,8 +265,8 @@ func main() {
 	}
 	if *debugAddr != "" {
 		// The pprof import registered its handlers on http.DefaultServeMux,
-		// and expvar self-registers /debug/vars there too. Serving the
-		// default mux on a separate listener keeps profiling/introspection
+		// and the expvar package registers its default page there too.
+		// Serving the default mux on a separate listener keeps profiling
 		// off the API port.
 		go func() {
 			dsrv := &http.Server{Addr: *debugAddr, Handler: http.DefaultServeMux, ReadHeaderTimeout: 10 * time.Second}
@@ -338,14 +338,28 @@ func (n *standbyNode) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case r.Method == http.MethodGet && r.URL.Path == "/admin/standby":
 		writeJSON(w, http.StatusOK, map[string]interface{}{"promoted": false, "replica": n.replica.Stats()})
-	case r.URL.Path == "/debug/vars":
-		expvar.Handler().ServeHTTP(w, r)
+	case r.Method == http.MethodGet && r.URL.Path == "/metrics":
+		n.handleMetrics(w, r)
 	default:
 		w.Header().Set("Retry-After", "1")
 		writeJSON(w, http.StatusServiceUnavailable, map[string]interface{}{
 			"error": "standby: not promoted; POST /admin/promote to take over",
 		})
 	}
+}
+
+// handleMetrics renders the replica's ingest counters as the jitd_replica_*
+// families. After promotion the Server's own /metrics answers instead.
+func (n *standbyNode) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	st := n.replica.Stats()
+	var p obs.PromWriter
+	p.Gauge("jitd_replica_connected", "Standby-side replication feed is connected (1 = yes).", obs.Bool(st.Connected))
+	p.Counter("jitd_replica_applied_records_total", "WAL records applied by the standby.", st.AppliedRecords)
+	p.Counter("jitd_replica_applied_bytes_total", "Replicated bytes applied by the standby.", st.AppliedBytes)
+	p.Counter("jitd_replica_syncs_total", "Full session file sets applied by the standby.", st.Syncs)
+	p.Counter("jitd_replica_deletes_total", "Session deletions applied by the standby.", st.Deletes)
+	p.Counter("jitd_replica_resyncs_sent_total", "Resync requests the standby sent to the primary.", st.ResyncsSent)
+	p.ServeHTTP(w, r)
 }
 
 // promote stops replication ingest and opens the API. Idempotent: a second

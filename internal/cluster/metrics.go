@@ -1,63 +1,31 @@
 package cluster
 
 import (
-	"bytes"
-	"fmt"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"justintime/internal/obs"
 )
 
 // forwardBoundsUs are the forward-latency bucket upper bounds in
 // microseconds, roughly logarithmic from "hot in-memory ask" to "shard is
 // struggling". They mirror the shape of jitd's own latency buckets so the
 // two layers' histograms line up on a dashboard.
-var forwardBoundsUs = [...]int64{
+var forwardBoundsUs = []int64{
 	100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50000, 100000, 250000, 1000000, 5000000,
 }
 
-// forwardHist is a fixed-bucket latency histogram with lock-free recording
-// (the router's per-shard forward latency series).
-type forwardHist struct {
-	counts [len(forwardBoundsUs) + 1]atomic.Int64
-	sumUs  atomic.Int64
-}
-
-func (h *forwardHist) observe(d time.Duration) {
-	us := d.Microseconds()
-	i := 0
-	for i < len(forwardBoundsUs) && us > forwardBoundsUs[i] {
-		i++
-	}
-	h.counts[i].Add(1)
-	h.sumUs.Add(us)
-}
-
-// cumulative returns cumulative bucket counts (with the +Inf total last)
-// and the observation sum in microseconds. The total derives from the same
-// bucket loads, so _count always equals the +Inf bucket even when a scrape
-// races an observe.
-func (h *forwardHist) cumulative() (counts []int64, sumUs int64) {
-	counts = make([]int64, len(forwardBoundsUs)+1)
-	cum := int64(0)
-	for i := range h.counts {
-		cum += h.counts[i].Load()
-		counts[i] = cum
-	}
-	return counts, h.sumUs.Load()
-}
-
 // shardMetrics is the per-shard slice of the router's counters. Metrics are
-// per-Router instance (not process globals) so tests can run many routers in
-// one process without expvar name collisions.
+// per-Router instance (not process globals), so many routers can run in one
+// process.
 type shardMetrics struct {
 	forwarded   atomic.Int64 // requests forwarded (a response came back)
 	retries     atomic.Int64 // idempotent reads retried after a transport error
 	errors      atomic.Int64 // forwards that failed after any retry
 	unavailable atomic.Int64 // requests answered 503 locally (shard down / no address)
-	latency     forwardHist
+	latency     *obs.Histogram
 
 	// okCount/okSumUs track successful forwards only — the shard's actual
 	// service time, excluding failed forwards whose duration measures our
@@ -99,7 +67,7 @@ func (m *routerMetrics) shard(name string) *shardMetrics {
 	defer m.mu.Unlock()
 	sm, ok := m.shards[name]
 	if !ok {
-		sm = &shardMetrics{}
+		sm = &shardMetrics{latency: obs.NewHistogram(forwardBoundsUs)}
 		m.shards[name] = sm
 	}
 	return sm
@@ -116,10 +84,9 @@ func (m *routerMetrics) snapshot() map[string]*shardMetrics {
 	return out
 }
 
-// renderProm writes the router's metrics in Prometheus text exposition
-// format v0.0.4 (hand-rolled like jitd's — no client-library dependency).
-// health maps shard name -> currently-healthy for the gauge family.
-func (m *routerMetrics) renderProm(b *bytes.Buffer, health map[string]bool) {
+// renderProm writes the router's metrics in the Prometheus text exposition
+// format. health maps shard name -> currently-healthy for the gauge family.
+func (m *routerMetrics) renderProm(p *obs.PromWriter, health map[string]bool) {
 	shards := m.snapshot()
 	names := make([]string, 0, len(shards))
 	for name := range shards {
@@ -128,9 +95,9 @@ func (m *routerMetrics) renderProm(b *bytes.Buffer, health map[string]bool) {
 	sort.Strings(names)
 
 	counter := func(family, help string, val func(*shardMetrics) int64) {
-		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s counter\n", family, help, family)
+		p.Header(family, "counter", help)
 		for _, name := range names {
-			fmt.Fprintf(b, "%s{shard=%q} %d\n", family, name, val(shards[name]))
+			p.Sample(family, obs.Label("shard", name), val(shards[name]))
 		}
 	}
 	counter("jitrouter_forwarded_total", "Requests forwarded to a shard that returned a response.",
@@ -142,57 +109,18 @@ func (m *routerMetrics) renderProm(b *bytes.Buffer, health map[string]bool) {
 	counter("jitrouter_unavailable_total", "Requests answered 503 locally because the shard was marked down.",
 		func(s *shardMetrics) int64 { return s.unavailable.Load() })
 
-	fmt.Fprintf(b, "# HELP jitrouter_shard_healthy Shard health as seen by the router's prober (1 = up).\n# TYPE jitrouter_shard_healthy gauge\n")
+	p.Header("jitrouter_shard_healthy", "gauge", "Shard health as seen by the router's prober (1 = up).")
 	hn := make([]string, 0, len(health))
 	for name := range health {
 		hn = append(hn, name)
 	}
 	sort.Strings(hn)
 	for _, name := range hn {
-		v := 0
-		if health[name] {
-			v = 1
-		}
-		fmt.Fprintf(b, "jitrouter_shard_healthy{shard=%q} %d\n", name, v)
+		p.Sample("jitrouter_shard_healthy", obs.Label("shard", name), obs.Bool(health[name]))
 	}
 
-	fmt.Fprintf(b, "# HELP jitrouter_forward_duration_seconds Forward latency by shard (router-side, includes the shard's own service time).\n# TYPE jitrouter_forward_duration_seconds histogram\n")
+	p.Header("jitrouter_forward_duration_seconds", "histogram", "Forward latency by shard (router-side, includes the shard's own service time).")
 	for _, name := range names {
-		counts, sumUs := shards[name].latency.cumulative()
-		for i, bound := range forwardBoundsUs {
-			le := strconv.FormatFloat(float64(bound)/1e6, 'g', -1, 64)
-			fmt.Fprintf(b, "jitrouter_forward_duration_seconds_bucket{shard=%q,le=%q} %d\n", name, le, counts[i])
-		}
-		total := counts[len(forwardBoundsUs)]
-		fmt.Fprintf(b, "jitrouter_forward_duration_seconds_bucket{shard=%q,le=\"+Inf\"} %d\n", name, total)
-		fmt.Fprintf(b, "jitrouter_forward_duration_seconds_sum{shard=%q} %s\n", name,
-			strconv.FormatFloat(float64(sumUs)/1e6, 'g', -1, 64))
-		fmt.Fprintf(b, "jitrouter_forward_duration_seconds_count{shard=%q} %d\n", name, total)
+		p.HistSeries("jitrouter_forward_duration_seconds", obs.Label("shard", name), shards[name].latency)
 	}
-}
-
-// renderVars writes the same state as a JSON object (the router's
-// /debug/vars — instance-scoped rather than expvar's process globals, so
-// many routers can coexist in one test process).
-func (m *routerMetrics) renderVars(health map[string]bool) map[string]interface{} {
-	shards := m.snapshot()
-	perShard := make(map[string]interface{}, len(shards))
-	for name, s := range shards {
-		counts, sumUs := s.latency.cumulative()
-		buckets := make(map[string]int64, len(counts)+1)
-		for i, bound := range forwardBoundsUs {
-			buckets["le_"+strconv.FormatInt(bound, 10)] = counts[i]
-		}
-		buckets["le_inf"] = counts[len(forwardBoundsUs)]
-		perShard[name] = map[string]interface{}{
-			"forwarded":         s.forwarded.Load(),
-			"retries":           s.retries.Load(),
-			"forward_errors":    s.errors.Load(),
-			"unavailable_503s":  s.unavailable.Load(),
-			"latency_us_sum":    sumUs,
-			"latency_us_hist":   buckets,
-			"currently_healthy": health[name],
-		}
-	}
-	return map[string]interface{}{"jitrouter_shards": perShard}
 }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -14,6 +13,7 @@ import (
 	"time"
 
 	"justintime/internal/fault"
+	"justintime/internal/obs"
 )
 
 // RouterConfig tunes a Router.
@@ -102,7 +102,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	rt.apply(cfg.Map)
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /metrics", rt.handleMetrics)
-	mux.HandleFunc("GET /debug/vars", rt.handleVars)
 	mux.HandleFunc("POST /admin/reload", rt.handleReload)
 	mux.HandleFunc("GET /admin/map", rt.handleMap)
 	mux.HandleFunc("GET /admin/owner", rt.handleOwner)
@@ -352,7 +351,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request) {
 	}
 	if err != nil {
 		sm.errors.Add(1)
-		sm.latency.observe(time.Since(start))
+		sm.latency.Observe(time.Since(start))
 		// Forward failures feed the same breaker the prober does: a shard
 		// that just refused traffic should fail fast for the next request
 		// instead of waiting for the prober to notice.
@@ -371,7 +370,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(resp.StatusCode)
 	_, _ = io.Copy(w, resp.Body)
 	d := time.Since(start)
-	sm.latency.observe(d)
+	sm.latency.Observe(d)
 	sm.observeOK(d)
 }
 
@@ -423,15 +422,10 @@ func (rt *Router) health() map[string]bool {
 	return out
 }
 
-func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	var b bytes.Buffer
-	rt.metrics.renderProm(&b, rt.health())
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = w.Write(b.Bytes())
-}
-
-func (rt *Router) handleVars(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, rt.metrics.renderVars(rt.health()))
+func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	var p obs.PromWriter
+	rt.metrics.renderProm(&p, rt.health())
+	p.ServeHTTP(w, r)
 }
 
 // handleReload re-reads the shard map file and applies it. Shards whose

@@ -386,3 +386,102 @@ func TestRouterDeadShardFailsFastAndIsolated(t *testing.T) {
 		t.Fatalf("catalog with one shard down: %d", resp.StatusCode)
 	}
 }
+
+// TestRouterMetrics scrapes the router's /metrics after forwards to two live
+// shards and one to a shard the prober has marked down: the per-shard
+// families carry those requests, each latency series closes with a +Inf
+// bucket equal to its _count, and the retired /debug/vars page is gone.
+// The bucket layout itself is the obs writer's and is checked in its tests.
+func TestRouterMetrics(t *testing.T) {
+	live := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.WriteString(w, `{}`)
+	}))
+	defer live.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadAddr := ln.Addr().String()
+	ln.Close() // nothing listens here: every dial is refused
+
+	names := []string{"a", "b", "dead"}
+	liveAddr := strings.TrimPrefix(live.URL, "http://")
+	rt, err := NewRouter(RouterConfig{
+		Map: &Map{Shards: []Shard{
+			{Name: "a", Addr: liveAddr},
+			{Name: "b", Addr: liveAddr},
+			{Name: "dead", Addr: deadAddr},
+		}},
+		ProbeInterval: 20 * time.Millisecond,
+		ProbeTimeout:  200 * time.Millisecond,
+		DownAfter:     2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	front := httptest.NewServer(rt)
+	defer front.Close()
+
+	deadline := time.Now().Add(5 * time.Second)
+	for rt.health()["dead"] {
+		if time.Now().After(deadline) {
+			t.Fatal("prober never marked the dead shard down")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	for _, shard := range []string{"a", "b"} {
+		resp, _ := doReq(t, "GET", front.URL+"/api/sessions/"+idOwnedBy(t, shard, names)+"/inputs", nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("forward to %s: %d", shard, resp.StatusCode)
+		}
+	}
+	resp, _ := doReq(t, "GET", front.URL+"/api/sessions/"+idOwnedBy(t, "dead", names)+"/inputs", nil)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("forward to the dead shard: %d, want 503", resp.StatusCode)
+	}
+
+	resp, body := doReq(t, "GET", front.URL+"/metrics", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /metrics: %d", resp.StatusCode)
+	}
+	page := string(body)
+	for _, family := range []string{
+		"jitrouter_forwarded_total counter", "jitrouter_unavailable_total counter",
+		"jitrouter_shard_healthy gauge", "jitrouter_forward_duration_seconds histogram",
+	} {
+		if !strings.Contains(page, "# TYPE "+family+"\n") {
+			t.Errorf("/metrics lacks family %q", family)
+		}
+	}
+	m := map[string]string{}
+	for _, line := range strings.Split(page, "\n") {
+		if name, val, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+			m[name] = val
+		}
+	}
+	for series, want := range map[string]string{
+		`jitrouter_forwarded_total{shard="a"}`:                             "1",
+		`jitrouter_forwarded_total{shard="b"}`:                             "1",
+		`jitrouter_forwarded_total{shard="dead"}`:                          "0",
+		`jitrouter_unavailable_total{shard="dead"}`:                        "1",
+		`jitrouter_shard_healthy{shard="a"}`:                               "1",
+		`jitrouter_shard_healthy{shard="dead"}`:                            "0",
+		`jitrouter_forward_duration_seconds_count{shard="a"}`:              "1",
+		`jitrouter_forward_duration_seconds_bucket{shard="a",le="+Inf"}`:   "1",
+		`jitrouter_forward_duration_seconds_count{shard="b"}`:              "1",
+		`jitrouter_forward_duration_seconds_bucket{shard="b",le="+Inf"}`:   "1",
+		`jitrouter_forward_duration_seconds_count{shard="dead"}`:           "0",
+		`jitrouter_forward_duration_seconds_bucket{shard="dead",le="5"}`:   "0",
+		`jitrouter_forward_duration_seconds_bucket{shard="dead",le="0.1"}`: "0",
+	} {
+		if got, ok := m[series]; got != want {
+			t.Errorf("%s = %q (present %v), want %s", series, got, ok, want)
+		}
+	}
+
+	resp, _ = doReq(t, "GET", front.URL+"/debug/vars", nil)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /debug/vars: %d, want 404", resp.StatusCode)
+	}
+}

@@ -12,7 +12,7 @@ import (
 // TestPagedSessionRestartParity runs the PR 3 restart acceptance flow with
 // paged candidate storage enabled: answers and the candidates database must
 // be identical across a shutdown/relaunch, the session directory must carry
-// an epoch-named page file, and the shared pool's expvar gauges must reflect
+// an epoch-named page file, and the shared pool's /metrics families must reflect
 // real traffic (faults happened, nothing stayed pinned).
 func TestPagedSessionRestartParity(t *testing.T) {
 	dataDir := t.TempDir()
@@ -81,22 +81,21 @@ func TestPagedSessionRestartParity(t *testing.T) {
 		t.Fatal("paged candidates database is not row-for-row identical after restart")
 	}
 
-	// Pool gauges are mounted on /debug/vars and moved: the rehydrated reads
-	// above faulted pages in, and a quiescent server holds no pins.
-	_, vars := getJSON(t, srv2.URL+"/debug/vars")
-	misses, _ := vars["jitd_pool_misses"].(float64)
-	if misses < 1 {
-		t.Errorf("jitd_pool_misses = %v, want >= 1 after cold reads", vars["jitd_pool_misses"])
+	// The pool's families on /metrics moved: the rehydrated reads above
+	// faulted pages in, and a quiescent server holds no pins.
+	m := scrapeMetrics(t, srv2.URL)
+	if misses := m["jitd_pool_misses_total"]; misses < 1 {
+		t.Errorf("jitd_pool_misses_total = %v, want >= 1 after cold reads", misses)
 	}
-	if pinned, _ := vars["jitd_pool_pinned"].(float64); pinned != 0 {
-		t.Errorf("jitd_pool_pinned = %v, want 0 at rest", vars["jitd_pool_pinned"])
+	if pinned, ok := m["jitd_pool_pinned"]; !ok || pinned != 0 {
+		t.Errorf("jitd_pool_pinned = %v (present %v), want 0 at rest", pinned, ok)
 	}
 	for _, key := range []string{
-		"jitd_pool_hits", "jitd_pool_evictions", "jitd_pool_dirty_writebacks",
+		"jitd_pool_hits_total", "jitd_pool_evictions_total", "jitd_pool_dirty_writebacks_total",
 		"jitd_pool_resident_pages",
 	} {
-		if _, ok := vars[key]; !ok {
-			t.Errorf("pool gauge %s missing from /debug/vars", key)
+		if _, ok := m[key]; !ok {
+			t.Errorf("pool family %s missing from /metrics", key)
 		}
 	}
 }

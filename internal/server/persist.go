@@ -67,7 +67,6 @@ func newPersister(dataDir string, sys *core.System, sync persist.SyncMode, pool 
 		opts: persist.Options{
 			Sync:       sync,
 			OnWALWrite: func(n int) { metricWALBytes.Add(int64(n)) },
-			OnFsync:    func(d time.Duration) { walFsyncHist.observe(d) },
 			Pool:       pool,
 			FS:         fsys,
 		},

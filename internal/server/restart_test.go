@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -301,8 +302,9 @@ func TestOrphanSweepOnStartup(t *testing.T) {
 	}
 }
 
-// TestMetricsEndpoint asserts /debug/vars is mounted and carries the jitd
-// counters, gauges and per-question latency histograms.
+// TestMetricsEndpoint asserts /metrics carries the jitd counters, gauges,
+// per-question latency histograms and per-shard residency, and that the
+// retired /debug/vars JSON page is gone.
 func TestMetricsEndpoint(t *testing.T) {
 	srv := testServer(t)
 	// Drive one question through so its latency histogram has a sample.
@@ -311,37 +313,42 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("ask: %d", code)
 	}
 
-	resp, out := getJSON(t, srv.URL+"/debug/vars")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("debug/vars: %d", resp.StatusCode)
-	}
+	m := scrapeMetrics(t, srv.URL)
 	for _, key := range []string{
-		"jitd_sessions_live", "jitd_evictions_ttl", "jitd_evictions_lru",
-		"jitd_rehydrations", "jitd_rehydrations_coalesced", "jitd_wal_bytes",
-		"jitd_checkpoints", "jitd_creates_rejected",
-		"jitd_question_latency_us", "jitd_shard_sessions",
+		"jitd_sessions_live", "jitd_evictions_ttl_total", "jitd_evictions_lru_total",
+		"jitd_rehydrations_total", "jitd_rehydrations_coalesced_total", "jitd_wal_bytes_total",
+		"jitd_checkpoints_total", "jitd_creates_rejected_total",
 	} {
-		if _, ok := out[key]; !ok {
-			t.Errorf("metric %s missing from /debug/vars", key)
+		if _, ok := m[key]; !ok {
+			t.Errorf("metric %s missing from /metrics", key)
 		}
 	}
 	// The histogram is keyed by question kind and cumulative: the answered
-	// question must have count >= 1 and a terminal le_inf equal to count.
-	hists, _ := out["jitd_question_latency_us"].(map[string]interface{})
-	h, _ := hists["no-modification"].(map[string]interface{})
-	count, _ := h["count"].(float64)
-	leInf, _ := h["le_inf"].(float64)
-	if count < 1 || leInf != count {
-		t.Errorf("no-modification histogram malformed: count=%v le_inf=%v (%v)", count, leInf, h)
+	// question must have count >= 1 and a +Inf bucket equal to count.
+	count, okCount := m[`jitd_question_duration_seconds_count{kind="no-modification"}`]
+	inf, okInf := m[`jitd_question_duration_seconds_bucket{kind="no-modification",le="+Inf"}`]
+	if !okCount || !okInf || count < 1 || inf != count {
+		t.Errorf("no-modification histogram malformed: count=%v (%v) +Inf=%v (%v)", count, okCount, inf, okInf)
 	}
-	// Per-shard gauge: an array whose sum covers the resident session.
-	shards, _ := out["jitd_shard_sessions"].([]interface{})
-	sum := 0.0
-	for _, v := range shards {
-		n, _ := v.(float64)
-		sum += n
+	// Per-shard gauge: one series per shard, summing to cover the resident
+	// session.
+	shards, sum := 0, 0.0
+	for k, v := range m {
+		if strings.HasPrefix(k, "jitd_shard_sessions{") {
+			shards++
+			sum += v
+		}
 	}
-	if sum < 1 {
-		t.Errorf("jitd_shard_sessions sums to %v, want >= 1 resident", sum)
+	if shards == 0 || sum < 1 {
+		t.Errorf("jitd_shard_sessions has %d series summing to %v, want >= 1 resident", shards, sum)
+	}
+
+	resp, err := http.Get(srv.URL + "/debug/vars")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /debug/vars: %d, want 404", resp.StatusCode)
 	}
 }

@@ -8,7 +8,6 @@ package server
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -163,6 +162,15 @@ type Server struct {
 	degraded atomic.Bool
 	stop     chan struct{}
 	stopOnce sync.Once
+
+	// Latency histograms exported on /metrics, all over latencyBoundsUs:
+	// per route path, per question kind, per WAL fsync and per buffer-pool
+	// page fault. The maps are filled during construction and only read
+	// afterwards, so recording takes no lock.
+	routeHists    map[string]*obs.Histogram
+	questionHists map[string]*obs.Histogram
+	walFsync      *obs.Histogram
+	poolFault     *obs.Histogram
 }
 
 // New builds a Server around a configured system with default limits.
@@ -171,10 +179,12 @@ func New(sys *core.System) *Server { return NewWithConfig(sys, Config{}) }
 // NewWithConfig builds a Server with explicit session/query limits.
 func NewWithConfig(sys *core.System, cfg Config) *Server {
 	cfg = cfg.withDefaults()
+	walFsync := obs.NewHistogram(latencyBoundsUs)
+	poolFault := obs.NewHistogram(latencyBoundsUs)
 	var pool *pager.Pool
 	if cfg.DataDir != "" && cfg.BufferPoolPages > 0 {
 		pool = pager.NewPool(cfg.BufferPoolPages)
-		registerPool(pool)
+		pool.OnFault = poolFault.Observe
 	}
 	var p *persister
 	logger := cfg.Logger
@@ -184,6 +194,7 @@ func NewWithConfig(sys *core.System, cfg Config) *Server {
 	if cfg.DataDir != "" {
 		p = newPersister(cfg.DataDir, sys, cfg.WALSync, pool, cfg.FS)
 		p.logger = logger
+		p.opts.OnFsync = walFsync.Observe
 	}
 	var shipper *persist.Shipper
 	if p != nil && cfg.ReplicateTo != "" {
@@ -191,7 +202,6 @@ func NewWithConfig(sys *core.System, cfg Config) *Server {
 		// be created without its append hook.
 		shipper = persist.NewShipperDialer(p.root, cfg.ReplicateTo, logger, cfg.ReplicationDial)
 		p.shipper = shipper
-		registerShipper(shipper)
 	}
 	var collector *obs.Collector
 	if !cfg.DisableTracing {
@@ -207,6 +217,11 @@ func NewWithConfig(sys *core.System, cfg Config) *Server {
 		logger:    logger,
 		shipper:   shipper,
 		stop:      make(chan struct{}),
+
+		routeHists:    make(map[string]*obs.Histogram),
+		questionHists: newQuestionHists(),
+		walFsync:      walFsync,
+		poolFault:     poolFault,
 	}
 	// The manager is built by newSessionManager (whose signature tests
 	// depend on); observability and cluster seams are wired in afterwards.
@@ -227,7 +242,6 @@ func NewWithConfig(sys *core.System, cfg Config) *Server {
 	s.route(mux, "POST /api/sessions/{id}/sql", s.handleSQL)
 	// Introspection endpoints are served bare: scrapes and debug reads must
 	// not pollute the trace rings or the per-route latency histograms.
-	mux.Handle("GET /debug/vars", expvar.Handler())
 	mux.HandleFunc("GET /debug/requests", s.handleRequests)
 	mux.HandleFunc("GET /debug/requests/slow", s.handleRequestsSlow)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -265,7 +279,11 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 // cardinality is fixed at registration time.
 func (s *Server) route(mux *http.ServeMux, pattern string, handler http.HandlerFunc) {
 	method, path, _ := strings.Cut(pattern, " ")
-	hist := routeHist(path)
+	hist, ok := s.routeHists[path]
+	if !ok {
+		hist = obs.NewHistogram(latencyBoundsUs)
+		s.routeHists[path] = hist
+	}
 	mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		t := s.collector.StartRequest(method, path)
 		sw := &statusWriter{ResponseWriter: w}
@@ -283,7 +301,7 @@ func (s *Server) route(mux *http.ServeMux, pattern string, handler http.HandlerF
 		if sw.status == 0 {
 			sw.status = http.StatusOK
 		}
-		hist.observe(d)
+		hist.Observe(d)
 		s.collector.Finish(t, sw.status)
 		s.logRequest(r, method, path, reqID, sw.status, d)
 	})
@@ -358,10 +376,6 @@ func (s *Server) Close() int {
 		// Shutdown checkpoints queued sync events behind it; give the standby
 		// a bounded window to acknowledge them before letting go.
 		s.shipper.Close(3 * time.Second)
-		unregisterShipper(s.shipper)
-	}
-	if s.pool != nil {
-		unregisterPool(s.pool)
 	}
 	return n
 }
@@ -618,7 +632,7 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	observeQuestionLatency(kind, time.Since(start))
+	s.observeQuestionLatency(kind, time.Since(start))
 	writeJSON(w, http.StatusOK, map[string]interface{}{
 		"kind":   req.Kind,
 		"sql":    ins.SQL,

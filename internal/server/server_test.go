@@ -5,8 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -91,6 +94,37 @@ func getJSON(t *testing.T, url string) (*http.Response, map[string]interface{}) 
 		t.Fatalf("decode response: %v", err)
 	}
 	return resp, out
+}
+
+// scrapeMetrics reads a /metrics page into series (name plus labels) ->
+// value.
+func scrapeMetrics(t *testing.T, baseURL string) map[string]float64 {
+	t.Helper()
+	resp, err := http.Get(baseURL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /metrics: %d", resp.StatusCode)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]float64{}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, val, ok := strings.Cut(line, " ")
+		v, err := strconv.ParseFloat(val, 64)
+		if !ok || err != nil {
+			t.Fatalf("malformed /metrics line %q", line)
+		}
+		out[name] = v
+	}
+	return out
 }
 
 func johnProfile() map[string]float64 {

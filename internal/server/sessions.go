@@ -204,7 +204,6 @@ func newSessionManager(max int, ttl time.Duration, shards int, p *persister) *se
 			deleting: make(map[string]int),
 		}
 	}
-	registerManager(m)
 	m.loopWG.Add(1)
 	go m.evictionLoop()
 	return m
@@ -583,7 +582,7 @@ func (m *sessionManager) count() int {
 }
 
 // shardSizes returns the resident-session count of every shard, in shard
-// order (the /debug/vars per-shard gauge).
+// order (the jitd_shard_sessions gauge on /metrics).
 func (m *sessionManager) shardSizes() []int {
 	sizes := make([]int, len(m.shards))
 	for i, sh := range m.shards {
@@ -665,7 +664,6 @@ func (m *sessionManager) stopBackgroundSweeps() {
 		m.finMu.Lock()
 		m.finMu.Unlock() //nolint:staticcheck // empty critical section is the barrier
 		m.loopWG.Wait()
-		unregisterManager(m)
 	}
 }
 

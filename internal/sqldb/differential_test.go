@@ -425,8 +425,9 @@ func diffSubqueryConjunct(r *rand.Rand, tables []diffTable, allowNested bool, ar
 // runDiffCase builds one random schema and checks every generated query for
 // divergence (results, order, columns, and error presence) between the
 // planned execution, the DisableIndexScan scan baseline, the fully-ablated
-// nested-loop path, and the planned execution with subquery memoisation
-// off. Halfway through, ANALYZE builds statistics so the second half diffs
+// nested-loop path, the DisableHashJoin arm (index scans on, so every
+// indexed equi-join runs as an index nested loop, NaN outer keys included),
+// and the planned execution with subquery memoisation off. Halfway through, ANALYZE builds statistics so the second half diffs
 // cost-based plans (covering scans, index unions, intersection-vs-single-path
 // flips) against the same baselines.
 func runDiffCase(t testing.TB, seed int64, queries int) {
@@ -451,10 +452,11 @@ func runDiffCase(t testing.TB, seed int64, queries int) {
 		indexed, ierr := run(sql, args, false, false)
 		scanned, serr := run(sql, args, true, false)
 		nested, nerr := run(sql, args, true, true)
+		indexNL, xerr := run(sql, args, false, true)
 		direct, derr := queryNoMemo(t, db, sql, args)
-		if (ierr == nil) != (serr == nil) || (nerr == nil) != (serr == nil) || (derr == nil) != (ierr == nil) {
-			t.Fatalf("seed %d: %s %v: indexed err=%v scan err=%v nested err=%v unmemoised err=%v",
-				seed, sql, args, ierr, serr, nerr, derr)
+		if (ierr == nil) != (serr == nil) || (nerr == nil) != (serr == nil) || (xerr == nil) != (ierr == nil) || (derr == nil) != (ierr == nil) {
+			t.Fatalf("seed %d: %s %v: indexed err=%v scan err=%v nested err=%v index-nl err=%v unmemoised err=%v",
+				seed, sql, args, ierr, serr, nerr, xerr, derr)
 		}
 		if ierr != nil {
 			continue
@@ -464,6 +466,9 @@ func runDiffCase(t testing.TB, seed int64, queries int) {
 		}
 		if !reflect.DeepEqual(indexed, nested) {
 			t.Fatalf("seed %d: %s %v:\nindexed: %+v\nnested:  %+v", seed, sql, args, indexed, nested)
+		}
+		if !reflect.DeepEqual(indexed, indexNL) {
+			t.Fatalf("seed %d: %s %v:\nindexed:  %+v\nindex-nl: %+v", seed, sql, args, indexed, indexNL)
 		}
 		if !reflect.DeepEqual(indexed, direct) {
 			t.Fatalf("seed %d: %s %v:\nmemoised:   %+v\nunmemoised: %+v", seed, sql, args, indexed, direct)

@@ -6,8 +6,9 @@ import (
 )
 
 // planCounts are process-wide per-plan-shape counters, bumped at every plan
-// decision (one bump per scan/join/top-k choice, not per row). The server
-// exports them on /debug/vars; tests assert on deltas, not absolutes.
+// decision (one bump per scan/join/top-k choice, not per row). jitd exports
+// them on /metrics as jitd_plan_shapes_total{shape=...}; tests assert on
+// deltas, not absolutes.
 var planCounts struct {
 	fullScan       atomic.Uint64
 	indexScan      atomic.Uint64

@@ -35,6 +35,11 @@ type Pool struct {
 	clock  int
 
 	hits, misses, evictions, writebacks int64
+
+	// OnFault, when non-nil, observes every page fault's disk-read latency,
+	// whichever file and caller faulted it. Set it before the pool serves
+	// its first pin.
+	OnFault func(time.Duration)
 }
 
 type frameKey struct {
@@ -124,8 +129,8 @@ func (fr *Frame) Unpin() {
 // pin returns a pinned frame holding page pageNo of f, faulting it from
 // disk on a miss. Concurrent pins of the same missing page coalesce onto one
 // disk read. A non-nil tracker receives this caller's fault/eviction
-// activity (trace attribution); the process-wide fault observer sees every
-// fault's read latency regardless.
+// activity (trace attribution); OnFault sees every fault's read latency
+// regardless.
 func (p *Pool) pin(f *File, pageNo int, tk *Tracker) (*Frame, error) {
 	k := frameKey{file: f, pageNo: pageNo}
 	p.mu.Lock()
@@ -169,7 +174,9 @@ func (p *Pool) pin(f *File, pageNo int, tk *Tracker) (*Frame, error) {
 		if rerr == nil {
 			d := time.Since(readStart)
 			tk.noteFault(d)
-			observeFault(d)
+			if p.OnFault != nil {
+				p.OnFault(d)
+			}
 		}
 		p.mu.Lock()
 		fr.loading = false

@@ -32,7 +32,8 @@ import (
 const planCacheCap = 512
 
 // planCacheCounts are process-wide hit/miss/invalidation counters, exported
-// on /debug/vars as jitd_plan_cache_{hits,misses,invalidations}.
+// on jitd's /metrics as jitd_plan_cache_total{event="hits"|"misses"|
+// "invalidations"}.
 var planCacheCounts struct {
 	hits          atomic.Uint64
 	misses        atomic.Uint64

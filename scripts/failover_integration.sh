@@ -3,7 +3,8 @@
 # with a warm standby per shard behind one jitrouter. Sessions are created
 # through the router on every shard and their answers recorded; replication
 # lag is asserted drained on every primary (jitd_replication_lag_sessions 0:
-# every session's standby cursor equals the primary's);
+# every session's standby cursor equals the primary's) and every standby's
+# /metrics must show a connected feed (jitd_replica_connected 1);
 # then one primary is killed with SIGKILL. The router must answer 503 (not
 # hang) for the dead shard while unrelated shards keep answering, the standby
 # is promoted via POST /admin/promote, the shard map is re-pointed and
@@ -147,6 +148,18 @@ for i in 0 1 2; do
     sleep 0.2
   done
   [ -n "$ok" ] || fail "shard ${NAMES[$i]} never drained its replication lag"
+done
+
+echo "== asserting every standby reports a connected replication feed =="
+for i in 0 1 2; do
+  ok=""
+  for _ in $(seq 1 100); do
+    if curl -sf "http://127.0.0.1:${SB_PORTS[$i]}/metrics" | grep -q '^jitd_replica_connected 1$'; then
+      ok=1; break
+    fi
+    sleep 0.2
+  done
+  [ -n "$ok" ] || fail "standby ${NAMES[$i]} /metrics never showed jitd_replica_connected 1"
 done
 
 VICTIM_IDX=1
