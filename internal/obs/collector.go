@@ -169,20 +169,20 @@ func NewCollector(slow time.Duration, sampleEvery, ringCap int) *Collector {
 	return c
 }
 
-// epochRefresh bounds how far trace start times are extrapolated from the
+// anchorRefresh bounds how far trace start times are extrapolated from the
 // cached wall-clock anchor before it is re-read.
-const epochRefresh = time.Minute
+const anchorRefresh = time.Minute
 
 // now returns the current time at full precision while reading the wall
 // clock only rarely: the monotonic clock (time.Since, one cheap read)
 // extrapolates from a cached anchor, and the anchor itself is re-read once
-// per epochRefresh so NTP steps can't accumulate into the rendered
+// per anchorRefresh so NTP steps can't accumulate into the rendered
 // timestamps. The returned value carries a monotonic reading, which is what
 // every span offset in the trace is measured against.
 func (c *Collector) now() time.Time {
 	e := c.epoch.Load()
 	d := time.Since(*e)
-	if d < epochRefresh {
+	if d < anchorRefresh {
 		return e.Add(d)
 	}
 	fresh := time.Now()

@@ -108,7 +108,6 @@ func benchConcurrentServe(b *testing.B, collector *obs.Collector) {
 	stmt := sqldb.MustPrepare("SELECT COUNT(*) FROM candidates WHERE time = 0")
 	var latMu sync.Mutex
 	var lat []time.Duration
-	pcBefore := sqldb.PlanCacheCounters()
 	b.ResetTimer()
 	b.SetParallelism(8) // lock-wait, not CPU, is under test: queue 8 requesters even on 1 core
 	b.RunParallel(func(pb *testing.PB) {
@@ -168,15 +167,6 @@ func benchConcurrentServe(b *testing.B, collector *obs.Collector) {
 		b.ReportMetric(float64(lat[len(lat)*99/100].Nanoseconds())/1e3, "p99-us")
 	}
 	b.ReportMetric(float64(atomic.LoadInt64(&churns)), "bg-churns")
-	// Plan-cache effectiveness on the hot path: the shared prepared statement
-	// should re-plan only on first touch of each session DB (and once more
-	// when its first index build publishes statistics), then hit thereafter.
-	pcAfter := sqldb.PlanCacheCounters()
-	hits := pcAfter["hits"] - pcBefore["hits"]
-	misses := pcAfter["misses"] - pcBefore["misses"]
-	if hits+misses > 0 {
-		b.ReportMetric(float64(hits)/float64(hits+misses)*100, "plan-cache-hit-%")
-	}
 }
 
 // BenchmarkRequestOverhead isolates the per-request cost of tracing with no

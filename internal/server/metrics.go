@@ -94,11 +94,11 @@ func (s *Server) observeQuestionLatency(kind core.QuestionKind, d time.Duration)
 }
 
 // handleMetrics renders the server's metrics in the Prometheus text
-// exposition format: lifecycle counters, planner and plan-cache counters,
-// buffer-pool, replication and per-shard residency state, trace-collector
-// totals, and latency histograms (per-route HTTP, per-kind question, WAL
-// fsync, pool page fault) with bucket bounds converted from the internal
-// microsecond bounds to seconds.
+// exposition format: lifecycle counters, planner counters, buffer-pool,
+// replication and per-shard residency state, trace-collector totals, and
+// latency histograms (per-route HTTP, per-kind question, WAL fsync, pool
+// page fault) with bucket bounds converted from the internal microsecond
+// bounds to seconds.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var p obs.PromWriter
 
@@ -124,10 +124,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		p.Sample("jitd_shard_sessions", obs.Label("shard", strconv.Itoa(i)), int64(n))
 	}
 
-	// The planner and plan-cache counters are process-wide: session
-	// databases come and go, so they count into package globals of sqldb.
+	// The planner counters are process-wide: session databases come and
+	// go, so they count into package globals of sqldb.
 	p.LabeledCounters("jitd_plan_shapes_total", "Query plans chosen, by access-path/join shape.", "shape", sqldb.PlanCounters())
-	p.LabeledCounters("jitd_plan_cache_total", "Plan-cache events, by kind.", "event", sqldb.PlanCacheCounters())
 
 	// Zeroes when paged storage is off.
 	var ps pager.Stats

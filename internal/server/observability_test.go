@@ -167,18 +167,13 @@ func TestSlowRequestTraceTree(t *testing.T) {
 	if aq == nil {
 		t.Fatal("sql.query span missing from the ask trace")
 	}
-	// The plan decision is a "plan" event on a cache miss, or plain attrs on
-	// the sql.query span on a cache hit; either way the shape and the cache
-	// verdict must be recorded.
+	// Every scan decision is a "plan" event recording the chosen shape.
 	ap := aq.Find("plan")
 	if ap == nil {
-		ap = aq
+		t.Fatal("ask trace's sql.query span has no plan event")
 	}
 	if ap.AttrVal("plan_shape") == "" {
-		t.Fatal("ask trace has no plan_shape attr (neither plan event nor span attr)")
-	}
-	if got := ap.AttrVal("plan_cached"); got != "true" && got != "false" {
-		t.Fatalf("plan_cached = %q, want true or false", got)
+		t.Fatal("ask trace's plan event has no plan_shape attr")
 	}
 
 	// The eviction's background checkpoint trace, with the durability
@@ -373,7 +368,7 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	for _, want := range []string{
 		"jitd_sessions_live", "jitd_traces_finished_total",
-		"jitd_plan_shapes_total{shape=", "jitd_plan_cache_total{event=",
+		"jitd_plan_shapes_total{shape=",
 		"jitd_wal_fsync_duration_seconds_bucket", "jitd_pool_fault_duration_seconds_bucket",
 	} {
 		if !strings.Contains(body, want) {

@@ -662,10 +662,8 @@ func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request) {
 	// Parse once: a malformed statement reports 422, a well-formed
 	// non-SELECT is rejected with 400 (the endpoint is read-only by
 	// contract), and a SELECT executes from the already-compiled form.
-	// The statement is ad hoc: its plans must not outlive the request in
-	// the session DB's plan cache.
 	parseStart := time.Now()
-	st, err := sqldb.PrepareAdHoc(req.Query)
+	st, err := sqldb.Prepare(req.Query)
 	obs.FromContext(r.Context()).Event("sql.parse", time.Since(parseStart))
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, err)

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // Column is one column of a stored table.
@@ -33,16 +32,6 @@ type Table struct {
 	// planner on every scan (correlated subqueries plan once per outer
 	// row, so recomputing it there would be a hot-path allocation).
 	idxCols map[int]bool
-
-	// statRows/statDrift track stats drift (see DB.noteDriftLocked):
-	// statRows is the row count when drift last reset, statDrift the
-	// mutated rows since. Both are touched only under the DB write lock.
-	statRows  int
-	statDrift int
-	// epochRef points at the owning DB's stats epoch so a lazy index build
-	// (which runs under the read lock) can bump it when fresh statistics
-	// appear; set when the table is registered.
-	epochRef *atomic.Uint64
 }
 
 func newTable(name string, cols []Column) (*Table, error) {
@@ -131,16 +120,6 @@ type DB struct {
 	// could answer a WHERE conjunct; used by the index ablation benchmark
 	// and equivalence tests. Set before issuing queries.
 	DisableIndexScan bool
-
-	// schemaVersion bumps on any DDL (table or index); statsEpoch on any
-	// statistics event (see stats.go). Both stamp cached plans.
-	schemaVersion atomic.Uint64
-	statsEpoch    atomic.Uint64
-
-	// plans memoizes access-path selection per prepared statement (see
-	// plancache.go); it has its own mutex because read-locked queries
-	// insert entries concurrently.
-	plans planCache
 }
 
 // New creates an empty database.
@@ -207,7 +186,7 @@ func (r *Result) Format() string {
 // placeholders positionally; hot paths should Prepare once and reuse the
 // compiled statement instead.
 func (db *DB) Query(sql string, args ...Value) (*Result, error) {
-	st, err := PrepareAdHoc(sql)
+	st, err := Prepare(sql)
 	if err != nil {
 		return nil, err
 	}
@@ -217,7 +196,7 @@ func (db *DB) Query(sql string, args ...Value) (*Result, error) {
 // Exec parses and executes a non-SELECT statement, returning the number of
 // rows affected (0 for DDL). Optional args bind `?` placeholders.
 func (db *DB) Exec(sql string, args ...Value) (int, error) {
-	st, err := PrepareAdHoc(sql)
+	st, err := Prepare(sql)
 	if err != nil {
 		return 0, err
 	}
@@ -270,9 +249,7 @@ func (db *DB) CreateTable(name string, cols []Column) error {
 	if _, exists := db.tables[name]; exists {
 		return fmt.Errorf("sqldb: table %q already exists", name)
 	}
-	t.epochRef = &db.statsEpoch
 	db.tables[name] = t
-	db.schemaVersion.Add(1)
 	if db.logger != nil {
 		if err := db.logger.LogCreateTable(name, cols); err != nil {
 			return fmt.Errorf("sqldb: table %q created but not logged: %w", name, err)
@@ -343,10 +320,6 @@ func (db *DB) createIndexLocked(name, table string, columns []string, ifNotExist
 	}
 	t.indexes = append(t.indexes, &tableIndex{name: name, cols: cis})
 	t.rebuildIdxCols()
-	// Index DDL changes the path space: retire every cached plan stamped
-	// with the old schema version, and re-cost against the new epoch.
-	db.schemaVersion.Add(1)
-	db.statsEpoch.Add(1)
 	return nil
 }
 
@@ -355,12 +328,9 @@ func (db *DB) dropIndexLocked(name string, ifExists bool) error {
 		for i, ix := range t.indexes {
 			if ix.name == name {
 				t.indexes = append(t.indexes[:i], t.indexes[i+1:]...)
-				// Both caches must move together: idxCols gates sarg
-				// collection, and the version bumps retire any cached plan
-				// still holding the dropped *tableIndex.
+				// idxCols gates sarg collection, so it must drop the
+				// index's columns with it.
 				t.rebuildIdxCols()
-				db.schemaVersion.Add(1)
-				db.statsEpoch.Add(1)
 				return nil
 			}
 		}
@@ -417,7 +387,6 @@ func (db *DB) InsertRows(table string, rows [][]Value) error {
 			return err
 		}
 		t.version++
-		db.noteDriftLocked(t, len(prepared))
 		if db.logger != nil {
 			if err := db.logger.LogInsertRows(table, prepared); err != nil {
 				return fmt.Errorf("sqldb: rows inserted but not logged: %w", err)
@@ -442,9 +411,7 @@ func (db *DB) execCreate(s *CreateTableStmt) error {
 	if err != nil {
 		return err
 	}
-	t.epochRef = &db.statsEpoch
 	db.tables[s.Name] = t
-	db.schemaVersion.Add(1)
 	return nil
 }
 
@@ -457,7 +424,6 @@ func (db *DB) execDrop(s *DropTableStmt) error {
 		return fmt.Errorf("sqldb: unknown table %q", s.Name)
 	}
 	delete(db.tables, s.Name)
-	db.schemaVersion.Add(1)
 	return t.store.Close() // releases page files/frames for paged tables
 }
 
@@ -471,9 +437,8 @@ func (db *DB) execInsert(s *InsertStmt, ex *executor) (int, error) {
 	// next indexed query into a spurious rebuild).
 	n0 := t.store.Len()
 	defer func() {
-		if n := t.store.Len() - n0; n != 0 {
+		if t.store.Len() != n0 {
 			t.version++
-			db.noteDriftLocked(t, n)
 		}
 	}()
 	// Map statement columns to table positions.
@@ -579,7 +544,6 @@ func (db *DB) execDelete(s *DeleteStmt, ex *executor) (int, error) {
 			return 0, err
 		}
 		t.version++
-		db.noteDriftLocked(t, deleted)
 	}
 	return deleted, nil
 }
@@ -650,7 +614,6 @@ func (db *DB) execUpdate(s *UpdateStmt, ex *executor) (int, error) {
 	}
 	if applied > 0 {
 		t.version++
-		db.noteDriftLocked(t, applied)
 	}
 	return applied, werr
 }

@@ -485,7 +485,7 @@ func queryNoMemo(t testing.TB, db *DB, sql string, args []Value) (*Result, error
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	ex := &executor{db: db, params: args, adhoc: true, noMemo: true}
+	ex := &executor{db: db, params: args, noMemo: true}
 	return ex.execSelect(st.stmt.(*SelectStmt), nil)
 }
 

@@ -98,13 +98,6 @@ type executor struct {
 	// diff memoised execution against direct execution.
 	memo   map[*SelectStmt]*subqueryMemo
 	noMemo bool
-
-	// adhoc marks a statement parsed for this execution alone
-	// (PrepareAdHoc): its plans go to adhocPlans, which dies with the
-	// executor, instead of the DB's cache, where its AST could never be
-	// looked up again.
-	adhoc      bool
-	adhocPlans *planCache
 }
 
 // eval evaluates e in the given scope (which may be nil for constant

@@ -361,7 +361,7 @@ func (ex *executor) trySimpleCapped(sel *SelectStmt, parent *scope, capRows int)
 	if !prefiltered {
 		planCounts.fullScan.Add(1)
 		ex.note("scan %s", rel.alias)
-		ex.notePlan("full_scan", false, -1, 0)
+		ex.notePlan("full_scan", -1, 0)
 		err := ex.storeScan(t, func(_ int, row []Value) error {
 			done, err := emit(row)
 			if err != nil {
@@ -532,7 +532,7 @@ func (ex *executor) execFrom(sel *SelectStmt, parent *scope) ([]relation, []tupl
 			if !used {
 				planCounts.fullScan.Add(1)
 				ex.note("scan %s", rel.alias)
-				ex.notePlan("full_scan", false, -1, 0)
+				ex.notePlan("full_scan", -1, 0)
 				if rows, err = ex.storeAll(t); err != nil {
 					return nil, nil, err
 				}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -53,14 +54,12 @@ func explainFixture(t *testing.T) *DB {
 // it against testdata/explain/<name>.golden; run with -update to accept
 // intentional plan changes as readable diffs in review. Every case gets a
 // fresh fixture so no case inherits statistics built by an earlier one:
-// stats-informed plans are demonstrated explicitly via a setup ANALYZE, and
-// plan-cache hits via repeated executions of one prepared statement.
+// stats-informed plans are demonstrated explicitly via a setup ANALYZE.
 func TestExplainGolden(t *testing.T) {
 	cases := []struct {
 		name  string
 		sql   string
 		setup []string // statements executed before the EXPLAIN
-		runs  int      // executions of the same prepared EXPLAIN (default 1)
 	}{
 		{name: "full_scan", sql: "SELECT * FROM candidates"},
 		{name: "index_eq", sql: "SELECT * FROM candidates WHERE time = 3"},
@@ -82,8 +81,6 @@ func TestExplainGolden(t *testing.T) {
 			setup: []string{"ANALYZE candidates"}},
 		{name: "analyzed_intersection", sql: "SELECT * FROM candidates WHERE time = 2 AND gap <= 1",
 			setup: []string{"ANALYZE candidates"}},
-		{name: "cached", sql: "SELECT * FROM candidates WHERE time = 3",
-			setup: []string{"ANALYZE candidates"}, runs: 3},
 		{name: "dominant_feature", sql: `SELECT distinct time as t FROM candidates WHERE EXISTS
 (SELECT * FROM candidates as cnd INNER JOIN temporal_inputs as ti ON ti.time = cnd.time
  WHERE cnd.time = t AND gap <= 1
@@ -98,19 +95,9 @@ func TestExplainGolden(t *testing.T) {
 			for _, s := range tc.setup {
 				db.MustExec(s)
 			}
-			st, err := db.Prepare("EXPLAIN " + tc.sql)
+			res, err := db.Query("EXPLAIN " + tc.sql)
 			if err != nil {
 				t.Fatal(err)
-			}
-			runs := tc.runs
-			if runs == 0 {
-				runs = 1
-			}
-			var res *Result
-			for i := 0; i < runs; i++ {
-				if res, err = st.Query(db); err != nil {
-					t.Fatal(err)
-				}
 			}
 			if len(res.Columns) != 1 || res.Columns[0] != "plan" {
 				t.Fatalf("EXPLAIN columns = %v", res.Columns)
@@ -207,4 +194,64 @@ func resultPlanText(res *Result) string {
 		fmt.Fprintln(&sb, s)
 	}
 	return sb.String()
+}
+
+func run0(t *testing.T, st *Stmt, db *DB, args ...Value) *Result {
+	t.Helper()
+	res, err := st.Query(db, args...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestPreparedStmtAcrossIndexDDL: a prepared statement plans each execution
+// from the indexes and statistics current at that moment, so index DDL
+// between executions may change its plan but never its rows, and every
+// execution answers for its own parameters.
+func TestPreparedStmtAcrossIndexDDL(t *testing.T) {
+	db := explainFixture(t)
+	db.MustExec("ANALYZE")
+	const q = "SELECT * FROM candidates WHERE time = 2"
+	st := MustPrepare(q)
+
+	want := run0(t, st, db)
+	db.MustExec("DROP INDEX candidates_time")
+	if got := run0(t, st, db); !reflect.DeepEqual(got.Rows, want.Rows) {
+		t.Fatalf("rows differ after DROP INDEX:\n%s\nvs\n%s", got.Format(), want.Format())
+	}
+	// The plan routes through the surviving composite index.
+	assertPlanContains(t, db, q, "candidates_time_p (time=)")
+
+	// A new index may take over the plan; the rows stay the same.
+	db.MustExec("CREATE INDEX candidates_time2 ON candidates (time)")
+	if got := run0(t, st, db); !reflect.DeepEqual(got.Rows, want.Rows) {
+		t.Fatalf("rows differ after CREATE INDEX:\n%s\nvs\n%s", got.Format(), want.Format())
+	}
+	res, err := db.Query("EXPLAIN " + q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if txt := resultPlanText(res); !strings.Contains(txt, "candidates_time2 (time=)") && !strings.Contains(txt, "candidates_time_p (time=)") {
+		t.Fatalf("plan after CREATE INDEX uses neither time index:\n%s", txt)
+	}
+
+	// Rebinding a parameter returns that value's rows; a NULL probe none.
+	param := MustPrepare("SELECT * FROM candidates WHERE time = ?")
+	run0(t, param, db, Int(1))
+	if res := run0(t, param, db, Int(2)); len(res.Rows) != 6 {
+		t.Fatalf("time = 2 returned %d rows, want 6", len(res.Rows))
+	}
+	if res := run0(t, param, db, Null()); len(res.Rows) != 0 {
+		t.Fatalf("time = NULL returned %d rows, want 0", len(res.Rows))
+	}
+
+	// A correlated subquery plans its index probe once per outer row.
+	res, err = db.Query("SELECT ti.time FROM temporal_inputs ti WHERE EXISTS (SELECT * FROM candidates c WHERE c.time = ti.time AND c.p > 0.5)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := [][]Value{{Int(1)}, {Int(3)}}; !reflect.DeepEqual(res.Rows, want) {
+		t.Fatalf("correlated EXISTS returned %v, want %v", res.Rows, want)
+	}
 }

@@ -166,16 +166,8 @@ func (ix *tableIndex) ensure(t *Table) error {
 	ix.nanRows = nanRows
 	ix.built = t.version
 	// The sorted distinct tuples and their row runs are exactly what the
-	// statistics need; derive them here for free. Only the FIRST derivation
-	// bumps the stats epoch (plans chosen blind must re-cost); later
-	// rebuilds refresh the numbers silently — estimates always read the
-	// current stats, and retiring cached plans on bounded drift is the
-	// mutation hooks' job (see DB.noteDriftLocked).
-	first := ix.stats.Load() == nil
+	// statistics need; derive them here for free. The next plan reads them.
 	ix.stats.Store(deriveIndexStats(ix))
-	if first && t.epochRef != nil {
-		t.epochRef.Add(1)
-	}
 	return nil
 }
 

@@ -502,3 +502,58 @@ func TestConcurrentIndexedReads(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestConcurrentQueriesDuringDDL hammers one DB with concurrent prepared
+// queries, index DDL, ANALYZE and inserts. Run under -race in CI: it guards
+// the lazy index-build latch and the ix.stats atomic, which read-locked
+// queries share with one another and with statistics derivation.
+func TestConcurrentQueriesDuringDDL(t *testing.T) {
+	db := explainFixture(t)
+	st := MustPrepare("SELECT COUNT(*) FROM candidates WHERE time = ? AND gap <= 1")
+	st2 := MustPrepare("SELECT * FROM candidates WHERE time = 1 OR gap = 2")
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if _, err := st.Query(db, Int(int64(i%4))); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := st2.Query(db); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() { // index churn: plans must never see a dropped index
+		defer wg.Done()
+		for i := 0; i < 40; i++ {
+			db.MustExec("CREATE INDEX tmp_income ON candidates (income)")
+			db.MustExec("DROP INDEX tmp_income")
+		}
+	}()
+	wg.Add(1)
+	go func() { // stats churn from full-table re-derivation
+		defer wg.Done()
+		for i := 0; i < 40; i++ {
+			db.MustExec("ANALYZE candidates")
+		}
+	}()
+	wg.Add(1)
+	go func() { // data churn: index rebuilds on the next query
+		defer wg.Done()
+		for i := 0; i < 40; i++ {
+			rows := [][]Value{{Int(int64(i % 4)), Float(1), Float(1), Int(int64(i % 3)), Float(0.5)}}
+			if err := db.InsertRows("candidates", rows); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+}

@@ -676,10 +676,9 @@ func intersectPositions(sets [][]int) []int {
 // table through its secondary indexes: a single (possibly composite) index
 // scan — covering when the index holds every column the statement reads —
 // the intersection of several paths' row-id sets, or a union of
-// per-disjunct paths for a top-level OR. Prepared statements memoize the
-// chosen path template per DB, stamped with (schema version, stats epoch);
-// see plancache.go. It returns the filtered rows (a superset of the rows
-// the full WHERE will keep — the residual WHERE still runs over every
+// per-disjunct paths for a top-level OR. Every execution plans afresh from
+// the current statistics. It returns the filtered rows (a superset of the
+// rows the full WHERE will keep — the residual WHERE still runs over every
 // returned row) and whether an index was used. See the error-parity
 // contract at the top of this file.
 func (ex *executor) indexScan(t *Table, rel relation, sel *SelectStmt, parent *scope) ([][]Value, bool, error) {
@@ -695,46 +694,24 @@ func (ex *executor) indexScan(t *Table, rel relation, sel *SelectStmt, parent *s
 		// the paths; skip path choice but keep the sentinel-row contract.
 		planCounts.emptyProbe.Add(1)
 		ex.note("scan %s using impossible predicate (NULL probe)", rel.alias)
-		ex.notePlan("empty_probe", false, 0, 0)
+		ex.notePlan("empty_probe", 0, 0)
 		return ex.sentinelRows(t)
 	}
-	db := ex.db
-	plans := ex.planCache()
-	schemaV, statsE := db.schemaVersion.Load(), db.statsEpoch.Load()
-	var paths []accessPath
-	covering, cached := false, false
-	if cp := plans.get(sel); cp != nil {
-		if cp.schemaVersion == schemaV && cp.statsEpoch == statsE {
-			if ps, ok := cp.instantiate(set); ok && !cp.full {
-				paths, covering, cached = ps, cp.covering, true
-				planCacheCounts.hits.Add(1)
-			}
-		} else {
-			plans.drop(sel)
-			planCacheCounts.invalidations.Add(1)
-		}
+	var planStart time.Time
+	if ex.span != nil {
+		planStart = time.Now()
 	}
-	// Plan-cache hits do no planning work, so only misses time it — the
-	// cache-hit hot path pays zero clock reads for the plan event.
+	built := buildPaths(t, set)
+	if len(built) == 0 {
+		// No conjunct is sargable on its own; a top-level OR whose
+		// disjuncts all are can still avoid the full scan.
+		return ex.orUnionScan(t, rel, sel, parent)
+	}
+	coverCols, coverOK := ex.coveringRefs(sel, t, rel)
+	paths, covering := ex.choosePaths(t, built, coverCols, coverOK)
 	var planDur time.Duration
-	if !cached {
-		planCacheCounts.misses.Add(1)
-		var planStart time.Time
-		if ex.span != nil {
-			planStart = time.Now()
-		}
-		built := buildPaths(t, set)
-		if len(built) == 0 {
-			// No conjunct is sargable on its own; a top-level OR whose
-			// disjuncts all are can still avoid the full scan.
-			return ex.orUnionScan(t, rel, sel, parent)
-		}
-		coverCols, coverOK := ex.coveringRefs(sel, t, rel)
-		paths, covering = ex.choosePaths(t, built, coverCols, coverOK)
-		plans.put(sel, planTemplateOf(schemaV, statsE, paths, covering))
-		if ex.span != nil {
-			planDur = time.Since(planStart)
-		}
+	if ex.span != nil {
+		planDur = time.Since(planStart)
 	}
 	// Estimate before ensure: the note must reflect the statistics the plan
 	// was chosen under, not the ones this execution's index builds derive.
@@ -743,9 +720,6 @@ func (ex *executor) indexScan(t *Table, rel relation, sel *SelectStmt, parent *s
 	if e, ok := combinedEstimate(paths, t.store.Len()); ok {
 		estRows = int64(e + 0.5)
 		suffix = fmt.Sprintf(" est_rows=%d", estRows)
-	}
-	if cached {
-		suffix += " (cached)"
 	}
 	sets := make([][]int, len(paths))
 	for i, p := range paths {
@@ -774,7 +748,7 @@ func (ex *executor) indexScan(t *Table, rel relation, sel *SelectStmt, parent *s
 		ex.note("scan %s using index intersection of %s%s", rel.alias, strings.Join(descs, " and "), suffix)
 	}
 	if ex.span != nil {
-		ex.notePlan(shape, cached, estRows, planDur)
+		ex.notePlan(shape, estRows, planDur)
 	}
 	if len(pos) == 0 && t.store.Len() > 0 {
 		// Keep one sentinel row: the sargable conjuncts are not TRUE on it,
@@ -820,9 +794,7 @@ func (ex *executor) sentinelRows(t *Table) ([][]Value, bool, error) {
 // whole predicate. Every disjunct must independently yield a path (a
 // disjunct only a full scan can answer makes the union pointless), a NULL
 // probe disjunct contributes no rows, and incomparable or NaN probes force
-// the full-scan parity fallback. Union plans are re-derived per execution
-// rather than cached — the per-disjunct sarg collection is the expensive
-// part and it cannot be skipped anyway.
+// the full-scan parity fallback.
 func (ex *executor) orUnionScan(t *Table, rel relation, sel *SelectStmt, parent *scope) ([][]Value, bool, error) {
 	var conjs []Expr
 	collectConjuncts(sel.Where, &conjs)
@@ -875,7 +847,7 @@ func (ex *executor) orUnionScan(t *Table, rel relation, sel *SelectStmt, parent 
 			// Every disjunct was a NULL probe: the conjunct is never TRUE.
 			planCounts.emptyProbe.Add(1)
 			ex.note("scan %s using impossible predicate (NULL probe)", rel.alias)
-			ex.notePlan("empty_probe", false, 0, 0)
+			ex.notePlan("empty_probe", 0, 0)
 		} else {
 			planCounts.indexUnion.Add(1)
 			descs := make([]string, len(paths))
@@ -883,7 +855,7 @@ func (ex *executor) orUnionScan(t *Table, rel relation, sel *SelectStmt, parent 
 				descs[i] = p.describe(t)
 			}
 			ex.note("scan %s using index union of %s", rel.alias, strings.Join(descs, " and "))
-			ex.notePlan("index_union", false, -1, 0)
+			ex.notePlan("index_union", -1, 0)
 		}
 		if len(pos) == 0 && t.store.Len() > 0 {
 			pos = []int{0} // sentinel row, as above
@@ -1054,7 +1026,7 @@ func (ex *executor) coveringFullScan(t *Table, rel relation, sel *SelectStmt) ([
 	}
 	planCounts.coveringScan.Add(1)
 	ex.note("scan %s using covering index %s", rel.alias, best.name)
-	ex.notePlan("covering_scan", false, -1, 0)
+	ex.notePlan("covering_scan", -1, 0)
 	return rows, true, nil
 }
 
@@ -1376,7 +1348,7 @@ func (ex *executor) tryTopK(sel *SelectStmt, parent *scope) (*Result, bool, erro
 	}
 
 	planCounts.topK.Add(1)
-	ex.notePlan("top_k", false, -1, 0)
+	ex.notePlan("top_k", -1, 0)
 	if ex.trace != nil {
 		parts := make([]string, 0, j+len(orderCols))
 		for i := 0; i < j; i++ {

@@ -10,26 +10,14 @@ import (
 // indexed column, derived for free whenever an index (re)builds — the build
 // already has the distinct key tuples sorted with their row buckets — and
 // rebuilt eagerly by ANALYZE. Statistics are advisory: they feed the cost
-// model's row estimates and never affect which rows a plan returns.
-//
-// Every DB carries a monotonically increasing stats epoch. It bumps when an
-// index build derives fresh statistics, when ANALYZE runs, when index DDL
-// changes the path space, and when enough rows mutate to drift past
-// statsDriftFraction of the last-counted table size (the same write-lock
-// hook discipline as MutationLogger). Cached plans are stamped with the
-// epoch they were chosen under and lazily recompute when it moves.
+// model's row estimates and never affect which rows a plan returns. Every
+// execution plans from the statistics current at that moment.
 
 const (
 	// histBuckets bounds the equi-depth histogram size; a bucket holds
 	// ~rows/histBuckets rows and one distinct leading value never splits
 	// across buckets.
 	histBuckets = 32
-
-	// statsDriftMin / statsDriftFraction: a table's stats are considered
-	// drifted once max(statsDriftMin, rows/statsDriftFraction) rows have
-	// been inserted, deleted or updated since the last epoch reset.
-	statsDriftMin      = 32
-	statsDriftFraction = 5
 
 	// defaultRangeSelectivity estimates a range predicate on a non-leading
 	// index column, where no histogram applies.
@@ -146,37 +134,10 @@ func (s *indexStats) rangeRows(lo, hi *Value, loStrict, hiStrict bool) float64 {
 	return est
 }
 
-// SchemaVersion returns the DB's schema version, bumped by any DDL (table
-// or index). Cached plans are stamped with it.
-func (db *DB) SchemaVersion() uint64 { return db.schemaVersion.Load() }
-
-// StatsEpoch returns the DB's statistics epoch (see the file comment).
-func (db *DB) StatsEpoch() uint64 { return db.statsEpoch.Load() }
-
-// noteDriftLocked accumulates mutated-row counts against the drift
-// threshold under the write lock; crossing it bumps the stats epoch so
-// cached plans re-cost against the next index rebuild's statistics.
-func (db *DB) noteDriftLocked(t *Table, changed int) {
-	if changed < 0 {
-		changed = -changed
-	}
-	t.statDrift += changed
-	thresh := t.statRows / statsDriftFraction
-	if thresh < statsDriftMin {
-		thresh = statsDriftMin
-	}
-	if t.statDrift >= thresh {
-		t.statDrift = 0
-		t.statRows = t.store.Len()
-		db.statsEpoch.Add(1)
-	}
-}
-
 // execAnalyze runs ANALYZE under the already-held write lock: it eagerly
 // (re)builds every index of the named table (or all tables), which derives
-// fresh statistics as a side effect, resets the drift counters, and bumps
-// the stats epoch. ANALYZE mutates no rows and is never WAL-logged; the
-// statistics themselves ride the snapshot (see Dump.Stats).
+// fresh statistics as a side effect. ANALYZE mutates no rows and is never
+// WAL-logged; the statistics themselves ride the snapshot (see Dump.Stats).
 func (db *DB) execAnalyze(s *AnalyzeStmt) (int, error) {
 	var tables []*Table
 	if s.Table == "" {
@@ -201,10 +162,7 @@ func (db *DB) execAnalyze(s *AnalyzeStmt) (int, error) {
 				return 0, err
 			}
 		}
-		t.statRows = t.store.Len()
-		t.statDrift = 0
 	}
-	db.statsEpoch.Add(1)
 	return 0, nil
 }
 
@@ -284,8 +242,6 @@ func (db *DB) RestoreIndexStats(d IndexStatsDump) bool {
 			s.hist = append(s.hist, histBucket{upper: u, cum: d.HistCum[i]})
 		}
 		ix.stats.Store(s)
-		t.statRows = t.store.Len()
-		db.statsEpoch.Add(1)
 		return true
 	}
 	return false

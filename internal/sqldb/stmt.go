@@ -19,7 +19,6 @@ type Stmt struct {
 	sql       string
 	stmt      Statement
 	numParams int
-	adhoc     bool // parsed by PrepareAdHoc for one execution
 }
 
 // Prepare compiles a single SQL statement. `?` placeholders become
@@ -30,18 +29,6 @@ func Prepare(sql string) (*Stmt, error) {
 		return nil, err
 	}
 	return &Stmt{sql: sql, stmt: stmt, numParams: nparams}, nil
-}
-
-// PrepareAdHoc is Prepare for a statement parsed for one execution, such
-// as a request's own SQL text. Its AST never runs again, so its plans are
-// cached on the executor and die with it instead of pinning the AST in the
-// DB's plan cache.
-func PrepareAdHoc(sql string) (*Stmt, error) {
-	st, err := Prepare(sql)
-	if err == nil {
-		st.adhoc = true
-	}
-	return st, err
 }
 
 // MustPrepare is Prepare that panics on error, for statements fixed at
@@ -108,7 +95,7 @@ func (st *Stmt) Exec(db *DB, args ...Value) (int, error) {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	n, err := db.execStatement(st.stmt, &executor{db: db, params: args, adhoc: st.adhoc})
+	n, err := db.execStatement(st.stmt, &executor{db: db, params: args})
 	// Log whenever state may have changed: a clean success (DDL reports
 	// n=0, err=nil) or a partial INSERT (n>0 with an error; replaying the
 	// deterministic statement reproduces the identical partial effect).

@@ -56,7 +56,7 @@ func (st *Stmt) queryTraced(ctx context.Context, db *DB, maxRows int, args []Val
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	ex := &executor{db: db, params: args, adhoc: st.adhoc}
+	ex := &executor{db: db, params: args}
 	if maxRows > 0 {
 		ex.capRows = maxRows
 	}
@@ -89,11 +89,13 @@ func (st *Stmt) queryTraced(ctx context.Context, db *DB, maxRows int, args []Val
 	if span.EndAttrInt("rows", int64(len(res.Rows))) >= span.SlowThreshold() {
 		// The statement is slow enough that its trace is guaranteed a slot in
 		// the collector's slow ring — spend the extra work of rendering its
-		// plan. The EXPLAIN machinery re-executes the statement, but against
-		// the plan cache the re-run chooses the identical (now "(cached)")
-		// paths, so the text matches what just ran. Fast statements never pay
-		// this.
-		ex2 := &executor{db: db, params: args, capRows: ex.capRows, adhoc: ex.adhoc, adhocPlans: ex.adhocPlans}
+		// plan. The EXPLAIN machinery re-plans and re-executes the statement
+		// against the statistics current now, so the text can differ from
+		// the plan that ran: when this statement's own index build derived a
+		// table's first statistics, the re-run costs with them (a blind
+		// two-index intersection may come back as a single index scan).
+		// Fast statements never pay this.
+		ex2 := &executor{db: db, params: args, capRows: ex.capRows}
 		if maxRows > 0 {
 			ex2.capRows = maxRows
 		}
@@ -151,30 +153,17 @@ func (ex *executor) storeAll(t *Table) ([][]Value, error) {
 	return out, nil
 }
 
-// notePlan records one scan decision on the statement's trace span: the
-// chosen shape, whether the plan-cache template served it, and the
-// optimizer's row estimate (estRows < 0 when no estimate exists). A cache
-// miss did real planning work with a meaningful duration, so it becomes a
-// "plan" event in the tree; a cache hit is a map probe, so its facts land
-// as plain attrs on the sql.query span itself — no event allocation on the
-// steady-state hot path. Statements with several scans (joins, subqueries)
-// record several decisions; the first is the statement's first access-path
-// choice.
-func (ex *executor) notePlan(shape string, cached bool, estRows int64, d time.Duration) {
+// notePlan records one scan decision on the statement's trace span as a
+// "plan" event: the chosen shape, the planning time d, and the optimizer's
+// row estimate (estRows < 0 when no estimate exists). Statements with
+// several scans (joins, subqueries) record several decisions; the first is
+// the statement's first access-path choice.
+func (ex *executor) notePlan(shape string, estRows int64, d time.Duration) {
 	if ex.span == nil {
 		return
 	}
-	if cached {
-		ex.span.SetAttr("plan_shape", shape)
-		ex.span.SetAttr("plan_cached", "true")
-		if estRows >= 0 {
-			ex.span.SetAttrInt("est_rows", estRows)
-		}
-		return
-	}
-	attrs := make([]obs.Attr, 2, 3)
+	attrs := make([]obs.Attr, 1, 2)
 	attrs[0] = obs.Attr{Key: "plan_shape", Val: shape}
-	attrs[1] = obs.Attr{Key: "plan_cached", Val: "false"}
 	if estRows >= 0 {
 		attrs = append(attrs, obs.Attr{Key: "est_rows", Val: strconv.FormatInt(estRows, 10)})
 	}
