@@ -205,25 +205,46 @@ func run0(t *testing.T, st *Stmt, db *DB, args ...Value) *Result {
 	return res
 }
 
-// TestPreparedStmtAcrossIndexDDL: a prepared statement plans each execution
-// from the indexes and statistics current at that moment, so index DDL
-// between executions may change its plan but never its rows, and every
-// execution answers for its own parameters.
-func TestPreparedStmtAcrossIndexDDL(t *testing.T) {
+// TestPlanCacheLifecycle: a prepared statement plans every execution, so
+// repeated runs, a rebound parameter and a NULL probe each answer for their
+// own arguments — the first run planned blind (its index build publishes the
+// first statistics) and the later ones with statistics.
+func TestPlanCacheLifecycle(t *testing.T) {
+	db := explainFixture(t)
+	st := MustPrepare("SELECT * FROM candidates WHERE time = ?")
+
+	want := run0(t, st, db, Int(1))
+	for i := 0; i < 2; i++ {
+		if got := run0(t, st, db, Int(1)); !reflect.DeepEqual(got.Rows, want.Rows) {
+			t.Fatalf("exec %d: rows differ from exec 1:\n%s\nvs\n%s", i+2, got.Format(), want.Format())
+		}
+	}
+	if res := run0(t, st, db, Int(2)); len(res.Rows) != 6 {
+		t.Fatalf("time = 2 returned %d rows, want 6", len(res.Rows))
+	}
+	if res := run0(t, st, db, Null()); len(res.Rows) != 0 {
+		t.Fatalf("time = NULL returned %d rows, want 0", len(res.Rows))
+	}
+}
+
+// TestDropIndexInvalidatesCachedPlan: index DDL between executions of a
+// prepared statement may change its plan but never its rows — after DROP
+// INDEX the next execution routes through the surviving composite index, and
+// a later CREATE INDEX may take the plan over.
+func TestDropIndexInvalidatesCachedPlan(t *testing.T) {
 	db := explainFixture(t)
 	db.MustExec("ANALYZE")
 	const q = "SELECT * FROM candidates WHERE time = 2"
 	st := MustPrepare(q)
 
 	want := run0(t, st, db)
+	run0(t, st, db)
 	db.MustExec("DROP INDEX candidates_time")
 	if got := run0(t, st, db); !reflect.DeepEqual(got.Rows, want.Rows) {
 		t.Fatalf("rows differ after DROP INDEX:\n%s\nvs\n%s", got.Format(), want.Format())
 	}
-	// The plan routes through the surviving composite index.
 	assertPlanContains(t, db, q, "candidates_time_p (time=)")
 
-	// A new index may take over the plan; the rows stay the same.
 	db.MustExec("CREATE INDEX candidates_time2 ON candidates (time)")
 	if got := run0(t, st, db); !reflect.DeepEqual(got.Rows, want.Rows) {
 		t.Fatalf("rows differ after CREATE INDEX:\n%s\nvs\n%s", got.Format(), want.Format())
@@ -235,19 +256,22 @@ func TestPreparedStmtAcrossIndexDDL(t *testing.T) {
 	if txt := resultPlanText(res); !strings.Contains(txt, "candidates_time2 (time=)") && !strings.Contains(txt, "candidates_time_p (time=)") {
 		t.Fatalf("plan after CREATE INDEX uses neither time index:\n%s", txt)
 	}
+}
 
-	// Rebinding a parameter returns that value's rows; a NULL probe none.
-	param := MustPrepare("SELECT * FROM candidates WHERE time = ?")
-	run0(t, param, db, Int(1))
-	if res := run0(t, param, db, Int(2)); len(res.Rows) != 6 {
-		t.Fatalf("time = 2 returned %d rows, want 6", len(res.Rows))
+// TestPlanCacheHoldsNoAdHocPlans: many distinct ad-hoc statements, a DELETE
+// with an IN subquery and a correlated EXISTS — which plans its index probe
+// once per outer row — all run through DB.Query/Exec and return their rows.
+func TestPlanCacheHoldsNoAdHocPlans(t *testing.T) {
+	db := explainFixture(t)
+	db.MustExec("ANALYZE")
+	for i := 0; i < 1000; i++ {
+		if _, err := db.Query(fmt.Sprintf("SELECT * FROM candidates WHERE time = %d AND p > 0.%d", i%4, i)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if res := run0(t, param, db, Null()); len(res.Rows) != 0 {
-		t.Fatalf("time = NULL returned %d rows, want 0", len(res.Rows))
-	}
+	db.MustExec("DELETE FROM temporal_inputs WHERE time IN (SELECT time FROM candidates WHERE time = 9)")
 
-	// A correlated subquery plans its index probe once per outer row.
-	res, err = db.Query("SELECT ti.time FROM temporal_inputs ti WHERE EXISTS (SELECT * FROM candidates c WHERE c.time = ti.time AND c.p > 0.5)")
+	res, err := db.Query("SELECT ti.time FROM temporal_inputs ti WHERE EXISTS (SELECT * FROM candidates c WHERE c.time = ti.time AND c.p > 0.5)")
 	if err != nil {
 		t.Fatal(err)
 	}
