@@ -14,7 +14,8 @@ import (
 // instead: materializing every row would defeat the buffer pool, so the
 // persistence layer checkpoints the pages themselves (CheckpointTo) while
 // the dump is exclusively locked. A dump holding Paged entries is only
-// coherent for the duration of CheckpointWith.
+// coherent for the duration of CheckpointWith, or as the input NewFromDump
+// takes ownership of.
 type TableDump struct {
 	Name  string
 	Cols  []Column
@@ -34,16 +35,11 @@ type IndexDump struct {
 
 // Dump is a point-in-time structural copy of a whole database, suitable for
 // serialization. Tables are ordered by name and indexes by (table, creation
-// order), so two dumps of equal databases are deeply equal.
-//
-// Stats carries the planner statistics of every index that has derived any
-// (same order as Indexes, minus stat-less entries). They are advisory: a
-// restore that drops or ignores them only costs the first plans their
-// estimates, never correctness.
+// order), so two dumps of equal databases are deeply equal. It carries no
+// planner statistics: those exist only where an index build derives them.
 type Dump struct {
 	Tables  []TableDump
 	Indexes []IndexDump
-	Stats   []IndexStatsDump
 }
 
 // Dump returns a consistent structural copy of the database taken under the
@@ -99,37 +95,41 @@ func (db *DB) dumpLocked() *Dump {
 			d.Indexes = append(d.Indexes, IndexDump{Name: ix.name, Table: t.Name, Column: strings.Join(names, ",")})
 		}
 	}
-	d.Stats = db.dumpStatsLocked()
 	return d
 }
 
-// NewFromDump builds a fresh database from a structural dump. The result
-// shares no state with the dump (rows are copied on load) and has no logger
-// attached; secondary indexes are declared but rebuilt lazily on first use.
+// NewFromDump builds a fresh database from a structural dump. Slice tables
+// get a copy of their rows; a table whose Paged store is set is registered
+// on that store without decoding it, and the database takes ownership of
+// every paged store in the dump: on error they are all closed. The result
+// has no logger attached, and its secondary indexes are declared but built
+// lazily on first use, which is also when their statistics appear.
 func NewFromDump(d *Dump) (*DB, error) {
 	db := New()
+	fail := func(err error) (*DB, error) {
+		for _, td := range d.Tables {
+			if td.Paged != nil {
+				td.Paged.Close()
+			}
+		}
+		return nil, err
+	}
 	for _, td := range d.Tables {
-		if td.Paged != nil {
-			return nil, fmt.Errorf("sqldb: table %q is paged; restore it through the persistence layer", td.Name)
-		}
 		if err := db.CreateTable(td.Name, td.Cols); err != nil {
-			return nil, fmt.Errorf("sqldb: restoring table %q: %w", td.Name, err)
+			return fail(fmt.Errorf("sqldb: restoring table %q: %w", td.Name, err))
 		}
-		if len(td.Rows) > 0 {
+		if td.Paged != nil {
+			db.tables[td.Name].store = td.Paged // db is not shared yet: no lock needed
+		} else if len(td.Rows) > 0 {
 			if err := db.InsertRows(td.Name, td.Rows); err != nil {
-				return nil, fmt.Errorf("sqldb: restoring rows of %q: %w", td.Name, err)
+				return fail(fmt.Errorf("sqldb: restoring rows of %q: %w", td.Name, err))
 			}
 		}
 	}
 	for _, ix := range d.Indexes {
 		if err := db.CreateIndex(ix.Name, ix.Table, ix.Column); err != nil {
-			return nil, fmt.Errorf("sqldb: restoring index %q: %w", ix.Name, err)
+			return fail(fmt.Errorf("sqldb: restoring index %q: %w", ix.Name, err))
 		}
-	}
-	// Statistics are best-effort: a dump whose stats no longer match the
-	// schema (or reference a dropped index) restores without them.
-	for _, sd := range d.Stats {
-		db.RestoreIndexStats(sd)
 	}
 	return db, nil
 }

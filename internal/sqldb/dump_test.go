@@ -2,8 +2,11 @@ package sqldb
 
 import (
 	"fmt"
+	"path/filepath"
 	"reflect"
 	"testing"
+
+	"justintime/internal/sqldb/pager"
 )
 
 func dumpFixtureDB(t *testing.T) *DB {
@@ -38,6 +41,55 @@ func TestDumpRestoreRoundTrip(t *testing.T) {
 	}
 	if s, _ := res.Rows[0][0].AsText(); s != "a" {
 		t.Fatalf("name = %v", res.Rows[0][0])
+	}
+}
+
+// TestNewFromDumpAdoptsPagedStores: a dumped table whose Paged store is set
+// is registered on that store as it is, and a failing restore closes every
+// paged store it was handed.
+func TestNewFromDumpAdoptsPagedStores(t *testing.T) {
+	pool := pager.NewPool(8)
+	paged := func() *PagedTable {
+		pt := NewPagedTableFS(nil, pool, filepath.Join(t.TempDir(), "spill.db"))
+		if err := pt.Append([][]Value{{Int(1), Text("a")}, {Int(2), Text("b")}}); err != nil {
+			t.Fatal(err)
+		}
+		return pt
+	}
+	cols := []Column{{Name: "id", Type: IntType}, {Name: "name", Type: TextType}}
+
+	pt := paged()
+	db, err := NewFromDump(&Dump{
+		Tables:  []TableDump{{Name: "p", Cols: cols, Paged: pt}},
+		Indexes: []IndexDump{{Name: "p_id", Table: "p", Column: "id"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := db.Dump().Tables[0].Paged; got != pt {
+		t.Fatalf("restored table is not backed by the dumped store: %v", got)
+	}
+	res, err := db.Query("SELECT name FROM p WHERE id = 2")
+	if err != nil || len(res.Rows) != 1 {
+		t.Fatalf("query on the adopted store: %v, %v", res, err)
+	}
+	if err := db.ClosePagedStores(); err != nil {
+		t.Fatal(err)
+	}
+
+	pt = paged()
+	_, err = NewFromDump(&Dump{
+		Tables:  []TableDump{{Name: "p", Cols: cols, Paged: pt}},
+		Indexes: []IndexDump{{Name: "p_x", Table: "p", Column: "x"}},
+	})
+	if err == nil {
+		t.Fatal("restore with an index on an unknown column succeeded")
+	}
+	if _, err := pt.Get(0); err == nil {
+		t.Error("failed restore left its paged store open")
+	}
+	if s := pool.Stats(); s.Pinned != 0 {
+		t.Errorf("%d frames still pinned", s.Pinned)
 	}
 }
 

@@ -51,8 +51,7 @@ type tableIndex struct {
 
 	// stats is the distribution snapshot the cost model reads (see
 	// stats.go). It is published atomically because readers cost paths
-	// before taking ix.mu, and because restored snapshot stats must be
-	// readable without triggering a build.
+	// before taking ix.mu.
 	stats atomic.Pointer[indexStats]
 }
 

@@ -23,25 +23,16 @@ type PagedTable struct {
 	total    int
 }
 
-// NewPagedTable creates an empty paged store spilling dirty pages to
-// spillPath (the base page file appears at the first checkpoint).
-func NewPagedTable(pool *pager.Pool, spillPath string) *PagedTable {
-	return NewPagedTableFS(nil, pool, spillPath)
-}
-
-// NewPagedTableFS is NewPagedTable on an injectable filesystem (nil = the
-// real one).
+// NewPagedTableFS creates an empty paged store spilling dirty pages to
+// spillPath (the base page file appears at the first checkpoint), on an
+// injectable filesystem (nil = the real one).
 func NewPagedTableFS(fsys fault.FS, pool *pager.Pool, spillPath string) *PagedTable {
 	return &PagedTable{file: pager.NewFileFS(fsys, pool, spillPath), starts: []int{0}}
 }
 
-// OpenPagedTable opens a base page file written by CheckpointTo, with
-// pageRows giving each page's row count (recorded in the snapshot).
-func OpenPagedTable(pool *pager.Pool, basePath, spillPath string, pageRows []int) (*PagedTable, error) {
-	return OpenPagedTableFS(nil, pool, basePath, spillPath, pageRows)
-}
-
-// OpenPagedTableFS is OpenPagedTable on an injectable filesystem.
+// OpenPagedTableFS opens a base page file written by CheckpointTo, with
+// pageRows giving each page's row count (recorded in the snapshot), on an
+// injectable filesystem (nil = the real one).
 func OpenPagedTableFS(fsys fault.FS, pool *pager.Pool, basePath, spillPath string, pageRows []int) (*PagedTable, error) {
 	f, err := pager.OpenFileFS(fsys, pool, basePath, spillPath)
 	if err != nil {
@@ -278,26 +269,6 @@ func (db *DB) PageTableFS(fsys fault.FS, name string, pool *pager.Pool, spillPat
 		return err
 	}
 	t.store = pt
-	return nil
-}
-
-// CreatePagedTable registers a table whose rows already live in pt — the
-// rehydration path persist uses to attach a checkpointed page file without
-// decoding it. Unlike CreateTable the registration is not logged: it only
-// runs while rebuilding a database from its snapshot, before a WAL is
-// attached.
-func (db *DB) CreatePagedTable(name string, cols []Column, pt *PagedTable) error {
-	t, err := newTable(name, cols)
-	if err != nil {
-		return err
-	}
-	t.store = pt
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if _, exists := db.tables[name]; exists {
-		return fmt.Errorf("sqldb: table %q already exists", name)
-	}
-	db.tables[name] = t
 	return nil
 }
 

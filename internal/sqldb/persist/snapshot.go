@@ -41,9 +41,9 @@ const (
 	// themselves live in the page file, so rehydrating attaches the file to
 	// the buffer pool instead of decoding the whole table.
 	recPagedTable uint8 = 4
-	// recStats carries one index's planner statistics (cardinalities plus the
-	// leading-column histogram), so a rehydrated session plans with real
-	// estimates before any index has been rebuilt.
+	// recStats carried one index's planner statistics in older snapshots.
+	// Statistics are no longer stored (index builds derive them), so the
+	// record is never written, and a reader skips it.
 	recStats uint8 = 5
 )
 
@@ -132,26 +132,6 @@ func writeSnapshotFS(fsys fault.FS, path string, d *sqldb.Dump, epoch uint64) (e
 		e.str(ix.Name)
 		e.str(ix.Table)
 		e.str(ix.Column)
-		if _, err = writeFrame(w, e.buf); err != nil {
-			return err
-		}
-	}
-	for _, sd := range d.Stats {
-		e := &enc{}
-		e.u8(recStats)
-		e.str(sd.Table)
-		e.str(sd.Index)
-		e.u32(uint32(sd.Rows))
-		e.u32(uint32(sd.NullRows))
-		e.u32(uint32(len(sd.PrefixNDV)))
-		for _, n := range sd.PrefixNDV {
-			e.u32(uint32(n))
-		}
-		e.u32(uint32(len(sd.HistUppers)))
-		for i, u := range sd.HistUppers {
-			e.value(u)
-			e.u32(uint32(sd.HistCum[i]))
-		}
 		if _, err = writeFrame(w, e.buf); err != nil {
 			return err
 		}
@@ -263,30 +243,7 @@ func readSnapshotRefs(fsys fault.FS, path string) (*sqldb.Dump, []pagedTableRef,
 			}
 			d.Indexes = append(d.Indexes, ix)
 		case recStats:
-			sd := sqldb.IndexStatsDump{Table: dd.str(), Index: dd.str()}
-			sd.Rows = int(dd.u32())
-			sd.NullRows = int(dd.u32())
-			nNDV := int(dd.u32())
-			if dd.err != nil || nNDV > maxRecord {
-				dd.fail("ndv count")
-				return nil, nil, 0, dd.err
-			}
-			for i := 0; i < nNDV && dd.err == nil; i++ {
-				sd.PrefixNDV = append(sd.PrefixNDV, int(dd.u32()))
-			}
-			nHist := int(dd.u32())
-			if dd.err != nil || nHist > maxRecord {
-				dd.fail("histogram size")
-				return nil, nil, 0, dd.err
-			}
-			for i := 0; i < nHist && dd.err == nil; i++ {
-				sd.HistUppers = append(sd.HistUppers, dd.value())
-				sd.HistCum = append(sd.HistCum, int(dd.u32()))
-			}
-			if dd.err != nil {
-				return nil, nil, 0, dd.err
-			}
-			d.Stats = append(d.Stats, sd)
+			// Statistics written by older versions: ignored.
 		case recEnd:
 			sawEnd = true
 		default:

@@ -144,65 +144,37 @@ func Open(dir string, opts Options) (*sqldb.DB, *Store, error) {
 		return nil, nil, err
 	}
 	removeStalePageFiles(fsys, dir, epoch)
-	pagedAt := make(map[int]*pagedTableRef, len(refs))
-	for i := range refs {
-		pagedAt[refs[i].tableIndex] = &refs[i]
-	}
-	db := sqldb.New()
-	fail := func(err error) (*sqldb.DB, *Store, error) {
-		db.ClosePagedStores()
-		return nil, nil, err
-	}
-	for i, td := range dump.Tables {
-		ref := pagedAt[i]
-		switch {
-		case ref != nil && opts.Pool != nil:
-			// Attach the checkpointed page file: no row decode here at all.
-			// The spill is volatile by design (WAL replay regenerates any
-			// post-checkpoint state), so a leftover from a previous life is
-			// removed, not read.
-			spill := filepath.Join(dir, SpillFileName(td.Name))
-			_ = fsys.Remove(spill)
-			pt, err := sqldb.OpenPagedTableFS(fsys, opts.Pool, filepath.Join(dir, ref.file), spill, ref.pageRows)
-			if err != nil {
-				return fail(err)
-			}
-			if err := db.CreatePagedTable(td.Name, td.Cols, pt); err != nil {
-				pt.Close()
-				return fail(fmt.Errorf("persist: restoring table %q: %w", td.Name, err))
-			}
-			continue
-		case ref != nil:
+	for i, ref := range refs {
+		td := &dump.Tables[ref.tableIndex]
+		if opts.Pool == nil {
 			// No pool on this host: materialize the pages into the slice
 			// store so the wire format stays readable everywhere.
 			if td.Rows, err = readPagedRows(fsys, filepath.Join(dir, ref.file), ref.pageRows); err != nil {
-				return fail(err)
+				return nil, nil, err
 			}
+			continue
 		}
-		if err := db.CreateTable(td.Name, td.Cols); err != nil {
-			return fail(fmt.Errorf("persist: restoring table %q: %w", td.Name, err))
-		}
-		if len(td.Rows) > 0 {
-			if err := db.InsertRows(td.Name, td.Rows); err != nil {
-				return fail(fmt.Errorf("persist: restoring rows of %q: %w", td.Name, err))
+		// Attach the checkpointed page file: no row decode here at all. The
+		// spill is volatile by design (WAL replay regenerates any
+		// post-checkpoint state), so a leftover from a previous life is
+		// removed, not read.
+		spill := filepath.Join(dir, SpillFileName(td.Name))
+		_ = fsys.Remove(spill)
+		if td.Paged, err = sqldb.OpenPagedTableFS(fsys, opts.Pool, filepath.Join(dir, ref.file), spill, ref.pageRows); err != nil {
+			for _, prev := range refs[:i] {
+				dump.Tables[prev.tableIndex].Paged.Close()
 			}
+			return nil, nil, err
 		}
 	}
-	for _, ix := range dump.Indexes {
-		if err := db.CreateIndex(ix.Name, ix.Table, ix.Column); err != nil {
-			return fail(fmt.Errorf("persist: restoring index %q: %w", ix.Name, err))
-		}
-	}
-	// Planner statistics ride the snapshot so a rehydrated session costs its
-	// first plans with real estimates — without rebuilding any index, which
-	// on a pool-attached paged table would fault in every row. Best-effort:
-	// a mismatching record (schema changed under an old snapshot) is skipped.
-	for _, sd := range dump.Stats {
-		db.RestoreIndexStats(sd)
+	db, err := sqldb.NewFromDump(dump) // owns the paged stores from here on
+	if err != nil {
+		return nil, nil, err
 	}
 	st, err := attach(fsys, dir, db, epoch, opts)
 	if err != nil {
-		return fail(err)
+		db.ClosePagedStores()
+		return nil, nil, err
 	}
 	return db, st, nil
 }

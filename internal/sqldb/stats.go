@@ -36,7 +36,7 @@ type histBucket struct {
 type indexStats struct {
 	rows      int   // rows present in the key structures (no NULL or NaN in any indexed column)
 	nullRows  int   // rows excluded for a NULL indexed column
-	nanRows   int   // rows left out for a NaN indexed column (not dumped)
+	nanRows   int   // rows left out for a NaN indexed column
 	prefixNDV []int // distinct count of the leading k columns, k = 1..len(cols)
 	hist      []histBucket
 }
@@ -137,7 +137,9 @@ func (s *indexStats) rangeRows(lo, hi *Value, loStrict, hiStrict bool) float64 {
 // execAnalyze runs ANALYZE under the already-held write lock: it eagerly
 // (re)builds every index of the named table (or all tables), which derives
 // fresh statistics as a side effect. ANALYZE mutates no rows and is never
-// WAL-logged; the statistics themselves ride the snapshot (see Dump.Stats).
+// WAL-logged or snapshotted: statistics exist only where an index build
+// derives them, so a rehydrated database plans structurally until its first
+// build.
 func (db *DB) execAnalyze(s *AnalyzeStmt) (int, error) {
 	var tables []*Table
 	if s.Table == "" {
@@ -164,118 +166,4 @@ func (db *DB) execAnalyze(s *AnalyzeStmt) (int, error) {
 		}
 	}
 	return 0, nil
-}
-
-// IndexStatsDump is the serializable form of one index's statistics. Stats
-// ride the snapshot (Dump.Stats) so a rehydrated session plans with real
-// estimates without re-running ANALYZE or paying an index build. The NaN
-// row count is left out, so the snapshot format is unchanged: a restored
-// index reports none until its next build derives it.
-type IndexStatsDump struct {
-	Table      string
-	Index      string
-	Rows       int
-	NullRows   int
-	PrefixNDV  []int
-	HistUppers []Value
-	HistCum    []int
-}
-
-// dumpStatsLocked collects the statistics of every index that has any, in
-// sorted-table then index-creation order (the snapshot codec's order).
-func (db *DB) dumpStatsLocked() []IndexStatsDump {
-	names := make([]string, 0, len(db.tables))
-	for n := range db.tables {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var out []IndexStatsDump
-	for _, n := range names {
-		t := db.tables[n]
-		for _, ix := range t.indexes {
-			s := ix.stats.Load()
-			if s == nil {
-				continue
-			}
-			d := IndexStatsDump{
-				Table:     n,
-				Index:     ix.name,
-				Rows:      s.rows,
-				NullRows:  s.nullRows,
-				PrefixNDV: append([]int(nil), s.prefixNDV...),
-			}
-			for _, b := range s.hist {
-				d.HistUppers = append(d.HistUppers, b.upper)
-				d.HistCum = append(d.HistCum, b.cum)
-			}
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// RestoreIndexStats installs dumped statistics onto the named index,
-// returning false when the table or index is unknown or the dump's shape
-// does not match the index (a schema that changed since the dump). The
-// restored stats are usable immediately — the planner costs paths from them
-// without triggering an index build.
-func (db *DB) RestoreIndexStats(d IndexStatsDump) bool {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	t, ok := db.tables[d.Table]
-	if !ok {
-		return false
-	}
-	for _, ix := range t.indexes {
-		if ix.name != d.Index {
-			continue
-		}
-		if len(d.PrefixNDV) != len(ix.cols) || len(d.HistUppers) != len(d.HistCum) {
-			return false
-		}
-		s := &indexStats{
-			rows:      d.Rows,
-			nullRows:  d.NullRows,
-			prefixNDV: append([]int(nil), d.PrefixNDV...),
-		}
-		for i, u := range d.HistUppers {
-			s.hist = append(s.hist, histBucket{upper: u, cum: d.HistCum[i]})
-		}
-		ix.stats.Store(s)
-		return true
-	}
-	return false
-}
-
-// IndexStats returns the current statistics of one index (nil when none
-// have been derived yet), in dump form. Test and introspection helper.
-func (db *DB) IndexStats(table, index string) *IndexStatsDump {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	t, ok := db.tables[table]
-	if !ok {
-		return nil
-	}
-	for _, ix := range t.indexes {
-		if ix.name != index {
-			continue
-		}
-		s := ix.stats.Load()
-		if s == nil {
-			return nil
-		}
-		d := &IndexStatsDump{
-			Table:     table,
-			Index:     index,
-			Rows:      s.rows,
-			NullRows:  s.nullRows,
-			PrefixNDV: append([]int(nil), s.prefixNDV...),
-		}
-		for _, b := range s.hist {
-			d.HistUppers = append(d.HistUppers, b.upper)
-			d.HistCum = append(d.HistCum, b.cum)
-		}
-		return d
-	}
-	return nil
 }

@@ -31,9 +31,22 @@ func statsFixture(t *testing.T) *DB {
 	return db
 }
 
+// loadStats returns the statistics currently published on the named index
+// (nil when no build has derived any yet).
+func loadStats(t *testing.T, db *DB, table, index string) *indexStats {
+	t.Helper()
+	for _, ix := range db.tables[table].indexes {
+		if ix.name == index {
+			return ix.stats.Load()
+		}
+	}
+	t.Fatalf("no index %s on %s", index, table)
+	return nil
+}
+
 func TestAnalyzeBuildsStats(t *testing.T) {
 	db := statsFixture(t)
-	if s := db.IndexStats("t", "t_a"); s != nil {
+	if s := loadStats(t, db, "t", "t_a"); s != nil {
 		t.Fatalf("stats exist before any index build or ANALYZE: %+v", s)
 	}
 	if _, err := db.Exec("ANALYZE t"); err != nil {
@@ -42,36 +55,36 @@ func TestAnalyzeBuildsStats(t *testing.T) {
 	// The planner costs paths from ANALYZE's statistics straight away.
 	assertPlanContains(t, db, "SELECT * FROM t WHERE a = 3", "est_rows=")
 
-	s := db.IndexStats("t", "t_a")
+	s := loadStats(t, db, "t", "t_a")
 	if s == nil {
 		t.Fatal("no stats for t_a after ANALYZE")
 	}
-	if s.Rows != 1000 || s.NullRows != 0 {
-		t.Errorf("t_a rows/nullRows = %d/%d, want 1000/0", s.Rows, s.NullRows)
+	if s.rows != 1000 || s.nullRows != 0 {
+		t.Errorf("t_a rows/nullRows = %d/%d, want 1000/0", s.rows, s.nullRows)
 	}
-	if !reflect.DeepEqual(s.PrefixNDV, []int{10}) {
-		t.Errorf("t_a prefix NDV = %v, want [10]", s.PrefixNDV)
+	if !reflect.DeepEqual(s.prefixNDV, []int{10}) {
+		t.Errorf("t_a prefix NDV = %v, want [10]", s.prefixNDV)
 	}
 	// Equi-depth invariants: cumulative counts strictly increase to the row
 	// total and bucket uppers strictly increase (runs of one value are never
 	// split across buckets, so each upper appears once).
-	if len(s.HistCum) == 0 || s.HistCum[len(s.HistCum)-1] != 1000 {
-		t.Errorf("t_a histogram does not accumulate to 1000: %v", s.HistCum)
+	if len(s.hist) == 0 || s.hist[len(s.hist)-1].cum != 1000 {
+		t.Errorf("t_a histogram does not accumulate to 1000: %v", s.hist)
 	}
-	for i := 1; i < len(s.HistUppers); i++ {
-		if c, err := Compare(s.HistUppers[i-1], s.HistUppers[i]); err != nil || c >= 0 {
-			t.Errorf("t_a histogram uppers not strictly increasing at %d: %v", i, s.HistUppers)
+	for i := 1; i < len(s.hist); i++ {
+		if c, err := Compare(s.hist[i-1].upper, s.hist[i].upper); err != nil || c >= 0 {
+			t.Errorf("t_a histogram uppers not strictly increasing at %d: %v", i, s.hist)
 		}
-		if s.HistCum[i] <= s.HistCum[i-1] {
-			t.Errorf("t_a histogram cum not strictly increasing at %d: %v", i, s.HistCum)
+		if s.hist[i].cum <= s.hist[i-1].cum {
+			t.Errorf("t_a histogram cum not strictly increasing at %d: %v", i, s.hist)
 		}
 	}
 
-	if s := db.IndexStats("t", "t_a_b"); !reflect.DeepEqual(s.PrefixNDV, []int{10, 1000}) {
-		t.Errorf("t_a_b prefix NDV = %v, want [10 1000]", s.PrefixNDV)
+	if s := loadStats(t, db, "t", "t_a_b"); !reflect.DeepEqual(s.prefixNDV, []int{10, 1000}) {
+		t.Errorf("t_a_b prefix NDV = %v, want [10 1000]", s.prefixNDV)
 	}
-	if s := db.IndexStats("t", "t_c"); s.Rows != 750 || s.NullRows != 250 {
-		t.Errorf("t_c rows/nullRows = %d/%d, want 750/250 (NULLs excluded)", s.Rows, s.NullRows)
+	if s := loadStats(t, db, "t", "t_c"); s.rows != 750 || s.nullRows != 250 {
+		t.Errorf("t_c rows/nullRows = %d/%d, want 750/250 (NULLs excluded)", s.rows, s.nullRows)
 	}
 }
 
@@ -138,8 +151,9 @@ func TestAnalyzeUnknownTable(t *testing.T) {
 }
 
 // TestAnalyzeNotLogged pins the WAL contract: ANALYZE mutates no rows and
-// must not be replayed on rehydration (the statistics ride the snapshot
-// instead), while genuine mutations keep logging.
+// must not be replayed on rehydration (a rehydrated database derives its
+// statistics again at its first index build), while genuine mutations keep
+// logging.
 func TestAnalyzeNotLogged(t *testing.T) {
 	db := statsFixture(t)
 	log := &recordingLogger{}
@@ -181,48 +195,5 @@ func TestHistogramEquiDepth(t *testing.T) {
 	}
 	if got := s.rangeRows(nil, nil, false, false); got != 1000 {
 		t.Errorf("unbounded rangeRows = %v, want 1000", got)
-	}
-}
-
-// TestStatsDumpRoundtrip checks that statistics survive Dump/NewFromDump
-// and are usable immediately — restored without triggering index builds.
-func TestStatsDumpRoundtrip(t *testing.T) {
-	db := statsFixture(t)
-	db.MustExec("ANALYZE t")
-	d := db.Dump()
-	if len(d.Stats) != 3 {
-		t.Fatalf("dump carries %d stats records, want 3", len(d.Stats))
-	}
-	db2, err := NewFromDump(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ix := range []string{"t_a", "t_a_b", "t_c"} {
-		want := db.IndexStats("t", ix)
-		got := db2.IndexStats("t", ix)
-		if got == nil || !reflect.DeepEqual(*got, *want) {
-			t.Errorf("restored stats for %s = %+v, want %+v", ix, got, want)
-		}
-	}
-	// No query has run on db2, so no index has been built: an estimate in
-	// its first plan comes from the restored statistics.
-	assertPlanContains(t, db2, "SELECT * FROM t WHERE a = 3", "est_rows=")
-}
-
-// TestRestoreIndexStatsShapeMismatch: a dump whose shape no longer matches
-// the index (schema changed since) is refused, not installed.
-func TestRestoreIndexStatsShapeMismatch(t *testing.T) {
-	db := statsFixture(t)
-	if db.RestoreIndexStats(IndexStatsDump{Table: "t", Index: "t_a", Rows: 5, PrefixNDV: []int{5, 5}}) {
-		t.Error("mismatched PrefixNDV arity was accepted")
-	}
-	if db.RestoreIndexStats(IndexStatsDump{Table: "t", Index: "nope", Rows: 5, PrefixNDV: []int{5}}) {
-		t.Error("unknown index was accepted")
-	}
-	if db.RestoreIndexStats(IndexStatsDump{Table: "nope", Index: "t_a", Rows: 5, PrefixNDV: []int{5}}) {
-		t.Error("unknown table was accepted")
-	}
-	if s := db.IndexStats("t", "t_a"); s != nil {
-		t.Errorf("refused restore still installed stats: %+v", s)
 	}
 }
