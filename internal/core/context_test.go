@@ -163,7 +163,7 @@ func TestSessionDatabaseHasTimeIndexes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for table, want := range map[string]string{
-		"candidates":      "candidates_time",
+		"candidates":      "candidates_time_gap",
 		"temporal_inputs": "temporal_inputs_time",
 	} {
 		names, err := sess.DB().IndexNames(table)

@@ -38,7 +38,7 @@ func (s PlanStep) String() string {
 }
 
 // planQuerySQL is the per-time-point best-candidate lookup. The time is a
-// parameter, so one compiled statement (and the candidates(time) index)
+// parameter, so one compiled statement (and the candidates(time, p) index)
 // serves every t of every session.
 const planQuerySQL = "SELECT * FROM candidates WHERE time = ? ORDER BY p DESC LIMIT 1"
 

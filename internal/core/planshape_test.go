@@ -24,9 +24,9 @@ func explainSession(t *testing.T, sess *Session, sql string, args ...sqldb.Value
 	return sb.String()
 }
 
-// TestCannedQuestionPlanShapes is the PR's acceptance check: the rewired
-// canned questions and the plan query must actually hit the planner's new
-// shapes (index intersection, index nested-loop join, top-k) against a real
+// TestCannedQuestionPlanShapes pins the plans the session serves: the
+// canned questions and the plan query must actually hit the planner's
+// shapes (composite index scan, index nested-loop join, top-k) against a real
 // session database with its auto-created indexes, and the two questions with
 // subqueries must memoise them (turning-point's ALL subquery once, its NOT
 // EXISTS per temporal-input time; dominant-feature's EXISTS per t).
@@ -59,7 +59,7 @@ func TestCannedQuestionPlanShapes(t *testing.T) {
 			assertShapes(q.Kind.String(), plan, "top-k scan candidates using index candidates_gap_diff (gap asc, diff asc) limit 1")
 		case QDominantFeature:
 			assertShapes(q.Kind.String(), plan,
-				"index intersection of candidates_time (time=) and candidates_gap_diff (gap range)",
+				"scan cnd using index candidates_time_gap (time=, gap range)",
 				"index nested loop (temporal_inputs_time)",
 				"memoised on (t)")
 		case QMaximalConfidence:

@@ -104,9 +104,9 @@ func (sess *Session) questionSQL(q Question) (string, []sqldb.Value, error) {
 		}
 		// The `gap <= 1` conjunct is implied by the OR that follows; it is
 		// spelled out because it is sargable where the OR is not, letting
-		// the planner intersect candidates(time) with the gap range of
-		// candidates(gap, diff) before evaluating the residual OR, and the
-		// join probes temporal_inputs(time) as an index nested loop.
+		// the planner scan candidates(time, gap) on time = t and the gap
+		// range, so only the rows the residual OR can keep reach the join,
+		// which probes temporal_inputs(time) as an index nested loop.
 		return fmt.Sprintf(`SELECT distinct time as t
 FROM candidates
 WHERE EXISTS

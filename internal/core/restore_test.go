@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"justintime/internal/sqldb"
@@ -130,5 +132,72 @@ func TestRestoreSessionValidation(t *testing.T) {
 	}
 	if _, err := sys.RestoreSession(db3, []float64{1, 2}); err == nil {
 		t.Error("short profile accepted")
+	}
+}
+
+// TestRestoreSessionWithRetiredIndexes: a snapshot carries its index
+// declarations, so a session written before candidates(time) and
+// candidates(diff) gave way to candidates(time, gap) reopens with the old
+// seven indexes. It must answer every question and the plan byte for byte
+// like the live session, both blind and once its index builds have derived
+// statistics.
+func TestRestoreSessionWithRetiredIndexes(t *testing.T) {
+	sys := testSystem(t)
+	live, err := sys.NewSession(rejectedProfile(t, sys), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := live.DB().Dump()
+	d.Indexes = []sqldb.IndexDump{
+		{Name: "candidates_time", Table: CandidatesTable, Column: "time"},
+		{Name: "candidates_diff", Table: CandidatesTable, Column: "diff"},
+		{Name: "candidates_diff_time", Table: CandidatesTable, Column: "diff,time"},
+		{Name: "candidates_p", Table: CandidatesTable, Column: "p"},
+		{Name: "candidates_gap_diff", Table: CandidatesTable, Column: "gap,diff"},
+		{Name: "candidates_time_p", Table: CandidatesTable, Column: "time,p"},
+		{Name: "temporal_inputs_time", Table: TemporalInputsTable, Column: "time"},
+	}
+	db, err := sqldb.NewFromDump(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := sys.RestoreSession(db, live.Profile())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if names, err := old.DB().IndexNames(CandidatesTable); err != nil || len(names) != 6 || names[0] != "candidates_time" {
+		t.Fatalf("restored candidates indexes = %v, %v; want the six retired-layout ones", names, err)
+	}
+	sql, _, err := old.questionSQL(Question{Kind: QDominantFeature, Feature: "income"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan := explainSession(t, old, sql); !strings.Contains(plan, "scan cnd using index candidates_time (time=)") {
+		t.Fatalf("retired-index session does not plan over its own indexes:\n%s", plan)
+	}
+	render := func(sess *Session) string {
+		t.Helper()
+		var sb strings.Builder
+		ins, err := sess.AskAll("income", 0.7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, in := range ins {
+			fmt.Fprintf(&sb, "%s\n%s\n%s\n", in.Question.Kind, in.Text, in.Result.Format())
+		}
+		plan, err := sess.Plan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, step := range plan {
+			fmt.Fprintf(&sb, "%s %+v\n", step, step)
+		}
+		return sb.String()
+	}
+	for round := 1; round <= 2; round++ {
+		want, got := render(live), render(old)
+		if got != want {
+			t.Fatalf("round %d: retired-index session answers differently:\n%s\nvs live\n%s", round, got, want)
+		}
 	}
 }

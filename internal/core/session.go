@@ -128,17 +128,18 @@ func (s *System) NewSessionContext(ctx context.Context, profile []float64, user 
 // catalog (no SQL text is built or parsed). The auto-created indexes back
 // every canned-question and plan-query shape the planner knows:
 //
-//	candidates(time)      equality/range prefilter and the intersection
-//	                      partner of the dominant-feature EXISTS probe
-//	candidates(diff)      diff-only predicates and range probes
-//	candidates(diff,time) no-modification question (diff = 0, Min(time)):
-//	                      both referenced columns live in the key tuples, so
-//	                      the planner answers it as a covering scan without
-//	                      touching a single row
+//	candidates(time,gap)  the dominant-feature EXISTS probe (time = t AND
+//	                      gap <= 1): one scan reads only the gap 0 and 1
+//	                      rows of that time, the rows its join needs
+//	candidates(diff,time) no-modification question (diff = 0, Min(time))
+//	                      and minimal-overall Min(diff): every referenced
+//	                      column lives in the key tuples, so the planner
+//	                      answers both as covering scans without touching
+//	                      a single row
 //	candidates(p)         maximal-confidence top-k and turning-point p > ?
-//	candidates(gap,diff)  minimal-features top-k (ORDER BY gap, diff) and
-//	                      the gap range arm of index intersections
-//	candidates(time,p)    plan query top-k (time = ? ORDER BY p DESC)
+//	candidates(gap,diff)  minimal-features top-k (ORDER BY gap, diff)
+//	candidates(time,p)    plan query top-k (time = ? ORDER BY p DESC) and
+//	                      turning-point's per-time NOT EXISTS probe
 //	temporal_inputs(time) index nested-loop probes of the inner join side
 //
 // Names of the two canonical tables every session database carries. Exported
@@ -177,8 +178,7 @@ func (sess *Session) loadDatabase(results [][]candgen.Candidate) error {
 		cols        []string
 	}{
 		{"temporal_inputs_time", "temporal_inputs", []string{"time"}},
-		{"candidates_time", "candidates", []string{"time"}},
-		{"candidates_diff", "candidates", []string{"diff"}},
+		{"candidates_time_gap", "candidates", []string{"time", "gap"}},
 		{"candidates_diff_time", "candidates", []string{"diff", "time"}},
 		{"candidates_p", "candidates", []string{"p"}},
 		{"candidates_gap_diff", "candidates", []string{"gap", "diff"}},

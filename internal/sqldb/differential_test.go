@@ -245,8 +245,9 @@ func buildDiffQuery(r *rand.Rand, tables []diffTable) (string, []Value) {
 			}
 			sb.WriteString(")")
 		case 3:
-			// OR of two sargable disjuncts over one relation: the planner may
-			// expand it into a deduplicated index union.
+			// OR of two sargable disjuncts over one relation: an OR is never
+			// an access path, so it stays residual over whatever path the
+			// other conjuncts choose, or over the full scan.
 			col2 := tbl.cols[r.Intn(len(tbl.cols))]
 			op1 := []string{"=", "=", "<", ">="}[r.Intn(4)]
 			op2 := []string{"=", "=", "<=", ">"}[r.Intn(4)]
@@ -427,9 +428,10 @@ func diffSubqueryConjunct(r *rand.Rand, tables []diffTable, allowNested bool, ar
 // planned execution, the DisableIndexScan scan baseline, the fully-ablated
 // nested-loop path, the DisableHashJoin arm (index scans on, so every
 // indexed equi-join runs as an index nested loop, NaN outer keys included),
-// and the planned execution with subquery memoisation off. Halfway through, ANALYZE builds statistics so the second half diffs
-// cost-based plans (covering scans, index unions, intersection-vs-single-path
-// flips) against the same baselines.
+// and the planned execution with subquery memoisation off. Halfway through,
+// ANALYZE builds statistics so the second half diffs cost-based plans
+// (covering scans, path choice by estimated rows, hash-join flips) against
+// the same baselines.
 func runDiffCase(t testing.TB, seed int64, queries int) {
 	r := rand.New(rand.NewSource(seed))
 	db, tables := buildDiffDB(t, r)

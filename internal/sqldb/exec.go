@@ -485,8 +485,8 @@ func (ex *executor) staticColumns(sel *SelectStmt, rels []relation) ([]string, e
 // execFrom materializes the FROM clause into relations and joined tuples.
 // When the first FROM item is a stored table and WHERE conjuncts are
 // sargable against its secondary indexes, the table's rows are pre-filtered
-// through the planner's chosen access paths (single index scan or index
-// intersection) instead of scanned in full; the WHERE clause is still
+// through the one access path the planner chooses (a single index scan)
+// instead of scanned in full; the WHERE clause is still
 // evaluated over the survivors, so residual predicates and three-valued
 // logic behave exactly as in the scan path.
 func (ex *executor) execFrom(sel *SelectStmt, parent *scope) ([]relation, []tuple, error) {

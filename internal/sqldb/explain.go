@@ -12,30 +12,26 @@ import (
 var planCounts struct {
 	fullScan       atomic.Uint64
 	indexScan      atomic.Uint64
-	indexIntersect atomic.Uint64
 	emptyProbe     atomic.Uint64
 	topK           atomic.Uint64
 	indexJoin      atomic.Uint64
 	hashJoin       atomic.Uint64
 	nestedLoopJoin atomic.Uint64
 	coveringScan   atomic.Uint64
-	indexUnion     atomic.Uint64
 }
 
 // PlanCounters snapshots the per-plan-shape execution counters: how many
 // times each access-path and join shape was chosen since process start.
 func PlanCounters() map[string]uint64 {
 	return map[string]uint64{
-		"full_scan":          planCounts.fullScan.Load(),
-		"index_scan":         planCounts.indexScan.Load(),
-		"index_intersection": planCounts.indexIntersect.Load(),
-		"empty_probe":        planCounts.emptyProbe.Load(),
-		"top_k":              planCounts.topK.Load(),
-		"index_join":         planCounts.indexJoin.Load(),
-		"hash_join":          planCounts.hashJoin.Load(),
-		"nested_loop_join":   planCounts.nestedLoopJoin.Load(),
-		"covering_scan":      planCounts.coveringScan.Load(),
-		"index_union":        planCounts.indexUnion.Load(),
+		"full_scan":        planCounts.fullScan.Load(),
+		"index_scan":       planCounts.indexScan.Load(),
+		"empty_probe":      planCounts.emptyProbe.Load(),
+		"top_k":            planCounts.topK.Load(),
+		"index_join":       planCounts.indexJoin.Load(),
+		"hash_join":        planCounts.hashJoin.Load(),
+		"nested_loop_join": planCounts.nestedLoopJoin.Load(),
+		"covering_scan":    planCounts.coveringScan.Load(),
 	}
 }
 

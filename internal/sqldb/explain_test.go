@@ -54,7 +54,9 @@ func explainFixture(t *testing.T) *DB {
 // it against testdata/explain/<name>.golden; run with -update to accept
 // intentional plan changes as readable diffs in review. Every case gets a
 // fresh fixture so no case inherits statistics built by an earlier one:
-// stats-informed plans are demonstrated explicitly via a setup ANALYZE.
+// stats-informed plans are demonstrated explicitly via a setup ANALYZE. A
+// golden file no case names fails the test, so a renamed or deleted case
+// cannot leave its old plan behind.
 func TestExplainGolden(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -65,7 +67,7 @@ func TestExplainGolden(t *testing.T) {
 		{name: "index_eq", sql: "SELECT * FROM candidates WHERE time = 3"},
 		{name: "index_range", sql: "SELECT COUNT(*) FROM candidates WHERE p > 0.5"},
 		{name: "composite_prefix", sql: "SELECT COUNT(*) FROM candidates WHERE time = 3 AND p > 0.5"},
-		{name: "index_intersection", sql: "SELECT COUNT(*) FROM candidates WHERE time = 2 AND gap <= 1"},
+		{name: "residual_range", sql: "SELECT COUNT(*) FROM candidates WHERE time = 2 AND gap <= 1"},
 		{name: "null_probe", sql: "SELECT * FROM candidates WHERE time = NULL"},
 		{name: "index_join", sql: "SELECT COUNT(*) FROM candidates c INNER JOIN temporal_inputs ti ON ti.time = c.time"},
 		{name: "hash_join", sql: "SELECT COUNT(*) FROM candidates c LEFT JOIN temporal_inputs ti ON c.income = ti.income"},
@@ -75,11 +77,11 @@ func TestExplainGolden(t *testing.T) {
 		{name: "topk_composite", sql: "SELECT * FROM candidates ORDER BY gap, diff LIMIT 1"},
 		{name: "sort_fallback", sql: "SELECT * FROM candidates ORDER BY income LIMIT 2"},
 		{name: "covering_group", sql: "SELECT gap, COUNT(*) FROM candidates GROUP BY gap"},
-		{name: "or_union", sql: "SELECT * FROM candidates WHERE time = 1 OR gap = 2"},
+		{name: "or_full_scan", sql: "SELECT * FROM candidates WHERE time = 1 OR gap = 2"},
 		{name: "in_list", sql: "SELECT * FROM candidates WHERE time IN (1, 3)"},
 		{name: "analyzed_eq", sql: "SELECT * FROM candidates WHERE time = 3",
 			setup: []string{"ANALYZE candidates"}},
-		{name: "analyzed_intersection", sql: "SELECT * FROM candidates WHERE time = 2 AND gap <= 1",
+		{name: "analyzed_residual_range", sql: "SELECT * FROM candidates WHERE time = 2 AND gap <= 1",
 			setup: []string{"ANALYZE candidates"}},
 		{name: "dominant_feature", sql: `SELECT distinct time as t FROM candidates WHERE EXISTS
 (SELECT * FROM candidates as cnd INNER JOIN temporal_inputs as ti ON ti.time = cnd.time
@@ -88,6 +90,19 @@ func TestExplainGolden(t *testing.T) {
 		{name: "turning_point", sql: `SELECT Min(time) FROM candidates WHERE p > 0.5 AND time > ALL
 (SELECT ti.time FROM temporal_inputs ti WHERE NOT EXISTS
  (SELECT * FROM candidates c WHERE c.time = ti.time AND c.p > 0.5))`},
+	}
+	named := make(map[string]bool, len(cases))
+	for _, tc := range cases {
+		named[tc.name+".golden"] = true
+	}
+	files, err := filepath.Glob(filepath.Join("testdata", "explain", "*.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if !named[filepath.Base(f)] {
+			t.Errorf("orphaned golden %s: no case names it; delete it", f)
+		}
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -167,8 +182,6 @@ func TestPlanCountersAdvance(t *testing.T) {
 		{"full_scan", "SELECT * FROM candidates"},
 		{"index_scan", "SELECT income FROM candidates WHERE time = 1"},
 		{"covering_scan", "SELECT COUNT(*) FROM candidates WHERE time = 1"},
-		{"index_intersection", "SELECT COUNT(*) FROM candidates WHERE time = 1 AND gap <= 1"},
-		{"index_union", "SELECT * FROM candidates WHERE time = 1 OR gap = 2"},
 		{"empty_probe", "SELECT COUNT(*) FROM candidates WHERE time = NULL"},
 		{"top_k", "SELECT * FROM candidates ORDER BY p DESC LIMIT 1"},
 		{"index_join", "SELECT COUNT(*) FROM candidates c INNER JOIN temporal_inputs ti ON ti.time = c.time"},

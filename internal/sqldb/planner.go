@@ -3,7 +3,6 @@ package sqldb
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -12,10 +11,10 @@ import (
 
 // This file is the cost-aware access-path planner behind SELECT execution:
 // it decides, per query level, how the first FROM table is scanned (full
-// scan, single/composite index scan, index intersection, or an impossible
-// NULL probe) and whether an ORDER BY ... LIMIT can stream top-k rows out
-// of a sorted index instead of materializing and sorting. Index
-// nested-loop joins live in exec.go next to the other join strategies.
+// scan, one single/composite index scan, or an impossible NULL probe) and
+// whether an ORDER BY ... LIMIT can stream top-k rows out of a sorted index
+// instead of materializing and sorting. Index nested-loop joins live in
+// exec.go next to the other join strategies.
 //
 // Error parity with the scan path is the planner's contract (the
 // differential harness asserts it): an incomparable probe falls back to
@@ -88,12 +87,6 @@ type sarg struct {
 func (ex *executor) collectSargs(t *Table, rel relation, sel *SelectStmt, parent *scope) (sargSet, bool) {
 	var conjs []Expr
 	collectConjuncts(sel.Where, &conjs)
-	return ex.collectSargsFrom(t, rel, sel, parent, conjs)
-}
-
-// collectSargsFrom is collectSargs over an explicit conjunct list, so
-// OR-expansion can collect per-disjunct sargs with the same rules.
-func (ex *executor) collectSargsFrom(t *Table, rel relation, sel *SelectStmt, parent *scope, conjs []Expr) (sargSet, bool) {
 	set := sargSet{byCol: make(map[int]*colSarg)}
 	indexed := t.indexedCols()
 	for _, c := range conjs {
@@ -377,11 +370,6 @@ func (p accessPath) usedCols() int {
 	return n
 }
 
-// coveredCols lists the table column positions the path constrains.
-func (p accessPath) coveredCols() []int {
-	return p.ix.cols[:p.usedCols()]
-}
-
 // describe renders the path for EXPLAIN: eq columns as "col=", an IN
 // multi-probe as "col in(n)", the range column as "col range".
 func (p accessPath) describe(t *Table) string {
@@ -477,148 +465,75 @@ func pathEstimate(p accessPath) (float64, bool) {
 	return est, true
 }
 
-// combinedEstimate is the estimated candidate count of a (possibly
-// intersected) plan under the independence assumption, for the EXPLAIN
-// est_rows note. ok=false when any path lacks statistics.
-func combinedEstimate(paths []accessPath, tableRows int) (float64, bool) {
-	est := -1.0
-	for _, p := range paths {
-		e, ok := pathEstimate(p)
-		if !ok {
-			return 0, false
-		}
-		if est < 0 {
-			est = e
-		} else if tableRows > 0 {
-			est *= e / float64(tableRows)
-		}
-	}
-	if est < 0 {
-		return 0, false
-	}
-	if est < 1 {
-		est = 1
-	}
-	return est, true
-}
-
-// choosePaths picks which candidate paths to execute. With statistics on
-// every candidate the order is by estimated rows, cheapest first (the
-// structural order below breaks ties), and an extra path joins the
-// intersection only when its pruning pays for its lookups; without
-// statistics the structural order applies — most constrained columns first,
-// equality beating range, covering beating non-covering, narrower indexes
-// beating wider ones, name as the deterministic tiebreak — and any path
-// constraining a new column joins the intersection. The second result reports whether the chosen plan
-// is a covering scan: a single path whose index holds every column the
-// statement reads (see coveringRefs) — an intersection already touches
-// several indexes, so covering only applies to one-path plans.
-func (ex *executor) choosePaths(t *Table, paths []accessPath, coverCols map[int]bool, coverOK bool) ([]accessPath, bool) {
-	if len(paths) == 0 {
-		return nil, false
-	}
-	type cand struct {
-		p      accessPath
-		est    float64
-		hasEst bool
-		cover  bool
-	}
-	cands := make([]cand, len(paths))
+// choosePath picks the one path a scan executes. With statistics on every
+// candidate it is the fewest estimated rows; otherwise (and to break ties) the
+// structural order decides: most constrained columns first, equality beating
+// range, covering beating non-covering, narrower indexes beating wider ones,
+// name as the deterministic tiebreak. The second result reports whether the
+// path's index holds every column the statement reads (see coveringRefs), so
+// the scan is answered from key tuples alone.
+func choosePath(paths []accessPath, coverCols map[int]bool, coverOK bool) (accessPath, bool) {
 	allEst := true
-	for i, p := range paths {
-		c := cand{p: p}
-		c.est, c.hasEst = pathEstimate(p)
-		if !c.hasEst {
+	for _, p := range paths {
+		if _, ok := pathEstimate(p); !ok {
 			allEst = false
-		}
-		if coverOK {
-			c.cover = true
-			for ci := range coverCols {
-				found := false
-				for _, ic := range p.ix.cols {
-					if ic == ci {
-						found = true
-						break
-					}
-				}
-				if !found {
-					c.cover = false
-					break
-				}
-			}
-		}
-		cands[i] = c
-	}
-	structuralLess := func(a, b cand) bool {
-		pa, pb := a.p, b.p
-		if pa.usedCols() != pb.usedCols() {
-			return pa.usedCols() > pb.usedCols()
-		}
-		if len(pa.eq) != len(pb.eq) {
-			return len(pa.eq) > len(pb.eq)
-		}
-		if a.cover != b.cover {
-			return a.cover
-		}
-		if len(pa.ix.cols) != len(pb.ix.cols) {
-			return len(pa.ix.cols) < len(pb.ix.cols)
-		}
-		return pa.ix.name < pb.ix.name
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if allEst && cands[i].est != cands[j].est {
-			return cands[i].est < cands[j].est
-		}
-		return structuralLess(cands[i], cands[j])
-	})
-	tableRows := float64(t.store.Len())
-	covered := make(map[int]bool)
-	var chosen []cand
-	curEst := 0.0
-	for _, c := range cands {
-		adds := false
-		for _, ci := range c.p.coveredCols() {
-			if !covered[ci] {
-				adds = true
-			}
-		}
-		if !adds {
-			continue
-		}
-		if len(chosen) > 0 && allEst {
-			// Intersecting costs ~est lookups and prunes the current
-			// candidate set by (1 - est/tableRows) under independence; skip
-			// paths whose pruning cannot pay for their lookups.
-			sel := 1.0
-			if tableRows > 0 {
-				sel = c.est / tableRows
-			}
-			if curEst*(1-sel) <= c.est {
-				continue
-			}
-			curEst *= sel
-		} else {
-			curEst = c.est
-		}
-		chosen = append(chosen, c)
-		for _, ci := range c.p.coveredCols() {
-			covered[ci] = true
+			break
 		}
 	}
-	out := make([]accessPath, len(chosen))
-	for i, c := range chosen {
-		out[i] = c.p
+	covers := func(p accessPath) bool {
+		if !coverOK {
+			return false
+		}
+		for ci := range coverCols {
+			if !slices.Contains(p.ix.cols, ci) {
+				return false
+			}
+		}
+		return true
 	}
-	return out, len(chosen) == 1 && chosen[0].cover
+	less := func(a, b accessPath) bool {
+		if allEst {
+			ea, _ := pathEstimate(a)
+			eb, _ := pathEstimate(b)
+			if ea != eb {
+				return ea < eb
+			}
+		}
+		if a.usedCols() != b.usedCols() {
+			return a.usedCols() > b.usedCols()
+		}
+		if len(a.eq) != len(b.eq) {
+			return len(a.eq) > len(b.eq)
+		}
+		if ca, cb := covers(a), covers(b); ca != cb {
+			return ca
+		}
+		if len(a.ix.cols) != len(b.ix.cols) {
+			return len(a.ix.cols) < len(b.ix.cols)
+		}
+		return a.ix.name < b.ix.name
+	}
+	best := paths[0]
+	for _, p := range paths[1:] {
+		if less(p, best) {
+			best = p
+		}
+	}
+	return best, covers(best)
 }
 
-// pathPositions computes the candidate row positions of one path. NaN
-// compares equal to every number, so nanRows always join the candidate set;
-// when the path leaves trailing index columns unconstrained, rows missing
-// from the key structures only because of a NULL in such a column could
-// still match, so nullRows join too (the residual WHERE filters both). The
-// result is a superset of the rows the full WHERE keeps.
+// pathPositions computes the candidate row positions of one path, ascending
+// (table order), in a fresh slice. NaN compares equal to every number, so
+// nanRows always join the candidate set; when the path leaves trailing index
+// columns unconstrained, rows missing from the key structures only because
+// of a NULL in such a column could still match, so nullRows join too (the
+// residual WHERE filters both). The result is a superset of the rows the
+// full WHERE keeps.
 func pathPositions(p accessPath) []int {
+	var nulls []int
+	if p.usedCols() < len(p.ix.cols) {
+		nulls = p.ix.nullRows
+	}
 	var pos []int
 	switch {
 	case len(p.in) > 0:
@@ -630,57 +545,27 @@ func pathPositions(p accessPath) []int {
 			probe[len(p.eq)] = v
 			pos = append(pos, p.ix.lookupPrefixRange(probe, nil, nil, false, false)...)
 		}
+		pos = append(append(pos, nulls...), p.ix.nanRows...)
 	default:
 		var lo, hi *Value
 		var loS, hiS bool
 		if p.rng != nil {
 			lo, hi, loS, hiS = p.rng.lo, p.rng.hi, p.rng.loStrict, p.rng.hiStrict
 		}
-		pos = p.ix.lookupPrefixRange(p.eq, lo, hi, loS, hiS) // shared with the index — read only
+		// The lookup result is shared with the index: Concat copies it.
+		pos = slices.Concat(p.ix.lookupPrefixRange(p.eq, lo, hi, loS, hiS), nulls, p.ix.nanRows)
 	}
-	var nulls []int
-	if p.usedCols() < len(p.ix.cols) {
-		nulls = p.ix.nullRows
-	}
-	if len(nulls)+len(p.ix.nanRows) > 0 {
-		pos = slices.Concat(pos, nulls, p.ix.nanRows)
-	}
+	slices.Sort(pos)
 	return pos
 }
 
-// intersectPositions intersects several candidate sets (each with unique
-// members) and returns the result sorted ascending (table order).
-func intersectPositions(sets [][]int) []int {
-	if len(sets) == 1 {
-		out := append([]int(nil), sets[0]...)
-		sort.Ints(out)
-		return out
-	}
-	counts := make(map[int]int, len(sets[0]))
-	for _, s := range sets {
-		for _, p := range s {
-			counts[p]++
-		}
-	}
-	var out []int
-	for p, n := range counts {
-		if n == len(sets) {
-			out = append(out, p)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
 // indexScan tries to answer the sargable WHERE conjuncts on the first FROM
-// table through its secondary indexes: a single (possibly composite) index
-// scan — covering when the index holds every column the statement reads —
-// the intersection of several paths' row-id sets, or a union of
-// per-disjunct paths for a top-level OR. Every execution plans afresh from
-// the current statistics. It returns the filtered rows (a superset of the
-// rows the full WHERE will keep — the residual WHERE still runs over every
-// returned row) and whether an index was used. See the error-parity
-// contract at the top of this file.
+// table through one secondary index: a single (possibly composite) index
+// scan, covering when the index holds every column the statement reads.
+// Every execution plans afresh from the current statistics. It returns the
+// filtered rows (a superset of the rows the full WHERE will keep — the
+// residual WHERE still runs over every returned row) and whether an index
+// was used. See the error-parity contract at the top of this file.
 func (ex *executor) indexScan(t *Table, rel relation, sel *SelectStmt, parent *scope) ([][]Value, bool, error) {
 	if t == nil || len(t.indexes) == 0 {
 		return nil, false, nil
@@ -703,61 +588,51 @@ func (ex *executor) indexScan(t *Table, rel relation, sel *SelectStmt, parent *s
 	}
 	built := buildPaths(t, set)
 	if len(built) == 0 {
-		// No conjunct is sargable on its own; a top-level OR whose
-		// disjuncts all are can still avoid the full scan.
-		return ex.orUnionScan(t, rel, sel, parent)
+		return nil, false, nil
 	}
 	coverCols, coverOK := ex.coveringRefs(sel, t, rel)
-	paths, covering := ex.choosePaths(t, built, coverCols, coverOK)
+	path, covering := choosePath(built, coverCols, coverOK)
 	var planDur time.Duration
 	if ex.span != nil {
 		planDur = time.Since(planStart)
 	}
 	// Estimate before ensure: the note must reflect the statistics the plan
-	// was chosen under, not the ones this execution's index builds derive.
-	suffix := ""
+	// was chosen under, not the ones this execution's index build derives.
 	estRows := int64(-1)
-	if e, ok := combinedEstimate(paths, t.store.Len()); ok {
+	if e, ok := pathEstimate(path); ok {
 		estRows = int64(e + 0.5)
-		suffix = fmt.Sprintf(" est_rows=%d", estRows)
 	}
-	sets := make([][]int, len(paths))
-	for i, p := range paths {
-		if err := p.ix.ensure(t); err != nil {
-			return nil, false, err
-		}
-		sets[i] = pathPositions(p)
+	if err := path.ix.ensure(t); err != nil {
+		return nil, false, err
 	}
-	pos := intersectPositions(sets)
+	pos := pathPositions(path)
 	shape := "index_scan"
-	switch {
-	case covering && len(paths) == 1:
+	if covering {
 		shape = "covering_scan"
 		planCounts.coveringScan.Add(1)
-		ex.note("scan %s using covering index %s%s", rel.alias, paths[0].describe(t), suffix)
-	case len(paths) == 1:
+	} else {
 		planCounts.indexScan.Add(1)
-		ex.note("scan %s using index %s%s", rel.alias, paths[0].describe(t), suffix)
-	default:
-		shape = "index_intersection"
-		planCounts.indexIntersect.Add(1)
-		descs := make([]string, len(paths))
-		for i, p := range paths {
-			descs[i] = p.describe(t)
+	}
+	if ex.trace != nil {
+		kind := "index"
+		if covering {
+			kind = "covering index"
 		}
-		ex.note("scan %s using index intersection of %s%s", rel.alias, strings.Join(descs, " and "), suffix)
+		suffix := ""
+		if estRows >= 0 {
+			suffix = fmt.Sprintf(" est_rows=%d", estRows)
+		}
+		ex.note("scan %s using %s %s%s", rel.alias, kind, path.describe(t), suffix)
 	}
-	if ex.span != nil {
-		ex.notePlan(shape, estRows, planDur)
-	}
+	ex.notePlan(shape, estRows, planDur)
 	if len(pos) == 0 && t.store.Len() > 0 {
 		// Keep one sentinel row: the sargable conjuncts are not TRUE on it,
 		// so the residual WHERE drops it — but row-independent errors in
 		// other conjuncts still surface (see the error-parity contract).
 		pos = []int{0}
 	}
-	if covering && len(paths) == 1 {
-		rows, err := coveringRows(t, paths[0], pos, ex.ptrack)
+	if covering {
+		rows, err := coveringRows(t, path, pos, ex.ptrack)
 		if err != nil {
 			return nil, false, err
 		}
@@ -786,101 +661,6 @@ func (ex *executor) sentinelRows(t *Table) ([][]Value, bool, error) {
 		return nil, false, err
 	}
 	return [][]Value{row}, true, nil
-}
-
-// orUnionScan expands a top-level OR conjunct into a deduplicated union of
-// per-disjunct index paths; the full WHERE stays residual over the union,
-// so rows admitted by one disjunct's path are still checked against the
-// whole predicate. Every disjunct must independently yield a path (a
-// disjunct only a full scan can answer makes the union pointless), a NULL
-// probe disjunct contributes no rows, and incomparable or NaN probes force
-// the full-scan parity fallback.
-func (ex *executor) orUnionScan(t *Table, rel relation, sel *SelectStmt, parent *scope) ([][]Value, bool, error) {
-	var conjs []Expr
-	collectConjuncts(sel.Where, &conjs)
-	for _, conj := range conjs {
-		be, ok := conj.(*BinaryExpr)
-		if !ok || be.Op != "OR" {
-			continue
-		}
-		var disjs []Expr
-		collectDisjuncts(conj, &disjs)
-		var paths []accessPath
-		usable := true
-		for _, d := range disjs {
-			var dc []Expr
-			collectConjuncts(d, &dc)
-			dset, ok := ex.collectSargsFrom(t, rel, sel, parent, dc)
-			if !ok {
-				usable = false
-				break
-			}
-			if dset.empty {
-				continue // a NULL-probe disjunct can match nothing
-			}
-			built := buildPaths(t, dset)
-			if len(built) == 0 {
-				usable = false
-				break
-			}
-			chosen, _ := ex.choosePaths(t, built, nil, false)
-			paths = append(paths, chosen[0])
-		}
-		if !usable {
-			continue // another OR conjunct may still be expandable
-		}
-		seen := make(map[int]bool)
-		var pos []int
-		for _, p := range paths {
-			if err := p.ix.ensure(t); err != nil {
-				return nil, false, err
-			}
-			for _, ri := range pathPositions(p) {
-				if !seen[ri] {
-					seen[ri] = true
-					pos = append(pos, ri)
-				}
-			}
-		}
-		sort.Ints(pos)
-		if len(paths) == 0 {
-			// Every disjunct was a NULL probe: the conjunct is never TRUE.
-			planCounts.emptyProbe.Add(1)
-			ex.note("scan %s using impossible predicate (NULL probe)", rel.alias)
-			ex.notePlan("empty_probe", 0, 0)
-		} else {
-			planCounts.indexUnion.Add(1)
-			descs := make([]string, len(paths))
-			for i, p := range paths {
-				descs[i] = p.describe(t)
-			}
-			ex.note("scan %s using index union of %s", rel.alias, strings.Join(descs, " and "))
-			ex.notePlan("index_union", -1, 0)
-		}
-		if len(pos) == 0 && t.store.Len() > 0 {
-			pos = []int{0} // sentinel row, as above
-		}
-		rows := make([][]Value, len(pos))
-		for i, ri := range pos {
-			row, err := ex.storeGet(t, ri)
-			if err != nil {
-				return nil, false, err
-			}
-			rows[i] = row
-		}
-		return rows, true, nil
-	}
-	return nil, false, nil
-}
-
-// collectDisjuncts flattens an expression over OR into its disjuncts.
-func collectDisjuncts(e Expr, out *[]Expr) {
-	if be, ok := e.(*BinaryExpr); ok && be.Op == "OR" {
-		collectDisjuncts(be.L, out)
-		collectDisjuncts(be.R, out)
-		return
-	}
-	*out = append(*out, e)
 }
 
 // coveringRefs gathers the scan-table columns the statement reads, when the

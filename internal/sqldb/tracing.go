@@ -92,8 +92,9 @@ func (st *Stmt) queryTraced(ctx context.Context, db *DB, maxRows int, args []Val
 		// plan. The EXPLAIN machinery re-plans and re-executes the statement
 		// against the statistics current now, so the text can differ from
 		// the plan that ran: when this statement's own index build derived a
-		// table's first statistics, the re-run costs with them (a blind
-		// two-index intersection may come back as a single index scan).
+		// table's first statistics, the re-run costs with them (a path the
+		// structural order picked may come back as the index with the
+		// fewest estimated rows).
 		// Fast statements never pay this.
 		ex2 := &executor{db: db, params: args, capRows: ex.capRows}
 		if maxRows > 0 {

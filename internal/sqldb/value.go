@@ -4,8 +4,8 @@
 // with inner joins, WHERE, GROUP BY / HAVING, ORDER BY, LIMIT/OFFSET,
 // DISTINCT, aggregates, and scalar / EXISTS / IN / quantified (ALL, ANY)
 // subqueries including correlated ones. SELECTs run through a cost-aware
-// planner over single- and multi-column secondary indexes (prefix scans,
-// index intersection, index nested-loop joins, top-k under ORDER BY/LIMIT)
+// planner over single- and multi-column secondary indexes (one prefix scan
+// per table, index nested-loop joins, top-k under ORDER BY/LIMIT)
 // whose chosen plan is inspectable with EXPLAIN; results are always
 // byte-identical to the naive scan path. It is the repository's database
 // substrate and is usable independently of the rest of the system.
