@@ -4,8 +4,8 @@ import "testing"
 
 // TestAskAllocations bounds what a re-asked question costs in allocations:
 // each canned question and the plan, asked again on a session whose indexes
-// and statistics are already built, so the count is planning, execution and
-// rendering alone. Budgets are the measured counts plus about 10%.
+// are already built, so the count is planning, execution and rendering
+// alone. Budgets are the measured counts plus about 10%.
 func TestAskAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds allocations of its own")

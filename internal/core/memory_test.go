@@ -12,8 +12,7 @@ import (
 // TestSessionMemoryBudget bounds what a served session keeps resident: 20
 // sessions at jitd's defaults (KI models, T = 3, top-8, so 32 candidate
 // rows each) answer their six questions and their plan, which builds the
-// six lazy indexes and their statistics, and then each may retain at most
-// 45 KiB of live heap.
+// six lazy indexes, and then each may retain at most 45 KiB of live heap.
 func TestSessionMemoryBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds allocations of its own")

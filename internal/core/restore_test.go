@@ -139,8 +139,7 @@ func TestRestoreSessionValidation(t *testing.T) {
 // declarations, so a session written before candidates(time) and
 // candidates(diff) gave way to candidates(time, gap) reopens with the old
 // seven indexes. It must answer every question and the plan byte for byte
-// like the live session, both blind and once its index builds have derived
-// statistics.
+// like the live session.
 func TestRestoreSessionWithRetiredIndexes(t *testing.T) {
 	sys := testSystem(t)
 	live, err := sys.NewSession(rejectedProfile(t, sys), nil)
@@ -194,10 +193,57 @@ func TestRestoreSessionWithRetiredIndexes(t *testing.T) {
 		}
 		return sb.String()
 	}
-	for round := 1; round <= 2; round++ {
-		want, got := render(live), render(old)
-		if got != want {
-			t.Fatalf("round %d: retired-index session answers differently:\n%s\nvs live\n%s", round, got, want)
+	if want, got := render(live), render(old); got != want {
+		t.Fatalf("retired-index session answers differently:\n%s\nvs live\n%s", got, want)
+	}
+}
+
+// TestRestoredSessionPlansMatchLive: a plan depends on the statement and the
+// rows, never on what ran before. A session restored from a live session's
+// database must plan each statement — the six questions, the plan query and
+// perfbench's three expert statements — on its first EXPLAIN exactly as the
+// live session does after serving every statement once.
+func TestRestoredSessionPlansMatchLive(t *testing.T) {
+	sys := testSystem(t)
+	live, err := sys.NewSession(rejectedProfile(t, sys), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type statement struct {
+		name string
+		sql  string
+		args []sqldb.Value
+	}
+	var stmts []statement
+	for _, q := range Questions("income", 0.7) {
+		sql, args, err := live.questionSQL(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stmts = append(stmts, statement{q.Kind.String(), sql, args})
+	}
+	stmts = append(stmts,
+		statement{"plan-query", planQuerySQL, []sqldb.Value{sqldb.Int(1)}},
+		statement{"by_time", "SELECT time, COUNT(*) AS n, MIN(diff) AS closest, MAX(p) AS best FROM candidates GROUP BY time ORDER BY time", nil},
+		statement{"join_inputs", "SELECT c.time, c.diff, c.p, ti.income FROM candidates c INNER JOIN temporal_inputs ti ON ti.time = c.time WHERE c.gap <= 2 ORDER BY c.time, c.diff, c.p LIMIT 20", nil},
+		statement{"top_conf", "SELECT * FROM candidates WHERE p > 0.6 ORDER BY p DESC, diff LIMIT 10", nil},
+	)
+	for _, st := range stmts {
+		if _, err := live.DB().Query(st.sql, st.args...); err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+	}
+	for _, st := range stmts {
+		db, err := sqldb.NewFromDump(live.DB().Dump())
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored, err := sys.RestoreSession(db, live.Profile())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := explainSession(t, restored, st.sql, st.args...), explainSession(t, live, st.sql, st.args...); got != want {
+			t.Errorf("%s: restored session plans\n%s\nlive session plans\n%s", st.name, got, want)
 		}
 	}
 }

@@ -111,13 +111,6 @@ func (*CreateIndexStmt) stmt() {}
 func (*DropIndexStmt) stmt()   {}
 func (*SelectStmt) stmt()      {}
 func (*ExplainStmt) stmt()     {}
-func (*AnalyzeStmt) stmt()     {}
-
-// AnalyzeStmt is `ANALYZE [table]`: eagerly rebuild the statistics of one
-// table's indexes, or of every table when none is named. It mutates no rows.
-type AnalyzeStmt struct {
-	Table string
-}
 
 // Expr is any SQL expression node.
 type Expr interface{ expr() }

@@ -161,18 +161,27 @@ func BenchmarkIndexRange(b *testing.B) {
 	}
 }
 
-// The two planner-v2 benchmarks compare each new plan shape against the
-// scan path it replaces, at a seed-sized candidate count (500) and at 100x
-// (50000) — the scale the ROADMAP targets for production sessions.
+// The planner benchmarks compare each plan shape against a baseline pinned
+// by an ablation knob, asserting the planned shape so a planner change
+// cannot silently benchmark the wrong thing. They run at a seed-sized
+// candidate count (500), at 100x (50000) and — behind BENCH_LARGE=1, since
+// building the fixture dominates otherwise — at 10000x (5M).
 
 func plannerBenchSizes() []struct {
 	label string
 	rows  int
 } {
-	return []struct {
+	sizes := []struct {
 		label string
 		rows  int
 	}{{"seed", 500}, {"100x", 50000}}
+	if os.Getenv("BENCH_LARGE") != "" {
+		sizes = append(sizes, struct {
+			label string
+			rows  int
+		}{"10000x", 5000000})
+	}
+	return sizes
 }
 
 // BenchmarkIndexJoin: the inner (large) table probed through its index per
@@ -223,71 +232,18 @@ func BenchmarkTopK(b *testing.B) {
 	}
 }
 
-// The planner-v3 benchmarks measure the plans the statistics choose, at the
-// seed size (500), at 100x (50000), and — behind BENCH_LARGE=1, since
-// building the fixture dominates otherwise — at 10000x (5M). Each compares
-// the chosen plan against a baseline pinned by an ablation knob, asserting
-// both shapes so a planner change cannot silently benchmark the wrong thing.
-
-func statsBenchSizes() []struct {
-	label string
-	rows  int
-} {
-	sizes := []struct {
-		label string
-		rows  int
-	}{{"seed", 500}, {"100x", 50000}}
-	if os.Getenv("BENCH_LARGE") != "" {
-		sizes = append(sizes, struct {
-			label string
-			rows  int
-		}{"10000x", 5000000})
-	}
-	return sizes
-}
-
-// BenchmarkStatsIntersectionFlip: with time = 3 selecting ~1/64 of the table
-// and gap <= 1 selecting half of it, the histogram prices the gap range above
-// the time equality, so the stats plan probes candidates_time and leaves the
-// gap conjunct residual; the baseline is the full scan.
-func BenchmarkStatsIntersectionFlip(b *testing.B) {
-	const q = "SELECT COUNT(*) FROM candidates WHERE time = 3 AND gap <= 1"
-	for _, size := range statsBenchSizes() {
-		for _, plan := range []string{"scan", "stats"} {
-			b.Run(fmt.Sprintf("rows=%s/plan=%s", size.label, plan), func(b *testing.B) {
-				db := benchDB(size.rows, 64)
-				db.MustExec("CREATE INDEX candidates_time ON candidates (time)")
-				db.MustExec("CREATE INDEX candidates_gap ON candidates (gap)")
-				if plan == "stats" {
-					db.MustExec("ANALYZE candidates")
-					assertBenchPlan(b, db, q, "using index candidates_time (time=) est_rows=")
-				} else {
-					db.DisableIndexScan = true
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := db.Query(q); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkStatsJoinFlip: candidates (outer, n rows) joined to
-// temporal_inputs (inner, 64 keys). The baseline (DisableHashJoin) probes the
-// inner index once per outer row; the statistics see 50000 outer rows
-// against 64 distinct inner keys and build the 64-entry hash table instead.
-func BenchmarkStatsJoinFlip(b *testing.B) {
+// BenchmarkJoinFlip: candidates (outer, n rows) joined to temporal_inputs
+// (inner, 64 keys). The baseline (DisableHashJoin) probes the inner index
+// once per outer row; the planner sees more outer rows than distinct inner
+// keys and builds the 64-entry hash table instead.
+func BenchmarkJoinFlip(b *testing.B) {
 	const q = "SELECT COUNT(*) FROM candidates c INNER JOIN temporal_inputs ti ON ti.time = c.time"
-	for _, size := range statsBenchSizes() {
-		for _, plan := range []string{"index-nl", "stats"} {
+	for _, size := range plannerBenchSizes() {
+		for _, plan := range []string{"index-nl", "hash"} {
 			b.Run(fmt.Sprintf("rows=%s/plan=%s", size.label, plan), func(b *testing.B) {
 				db := benchDB(size.rows, 64)
 				db.MustExec("CREATE INDEX temporal_inputs_time ON temporal_inputs (time)")
-				if plan == "stats" {
-					db.MustExec("ANALYZE")
+				if plan == "hash" {
 					assertBenchPlan(b, db, q, "hash join")
 				} else {
 					db.DisableHashJoin = true
@@ -310,7 +266,7 @@ func BenchmarkStatsJoinFlip(b *testing.B) {
 // from the index key tuples and never touches a row page.
 func BenchmarkCoveringPaged(b *testing.B) {
 	const q = "SELECT COUNT(*) FROM candidates WHERE time = 3"
-	for _, size := range statsBenchSizes() {
+	for _, size := range plannerBenchSizes() {
 		for _, plan := range []string{"scan", "covering"} {
 			b.Run(fmt.Sprintf("rows=%s/plan=%s", size.label, plan), func(b *testing.B) {
 				db := benchDB(size.rows, 64)
@@ -365,10 +321,10 @@ func BenchmarkInsertSQL(b *testing.B) {
 	}
 }
 
-// BenchmarkIndexBuild rebuilds the six lazy indexes (and their stats) a
-// session database carries, on a 32-row candidates-shaped table over four
-// time points: the work a rehydrated session pays on its first asks.
-// B/op is the memory the indexes hold plus the build's scratch.
+// BenchmarkIndexBuild rebuilds the six lazy indexes a session database
+// carries, on a 32-row candidates-shaped table over four time points: the
+// work a rehydrated session pays on its first asks. B/op is the memory the
+// indexes hold plus the build's scratch.
 func BenchmarkIndexBuild(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	feats := []string{"age", "household", "income", "debt", "seniority", "amount"}

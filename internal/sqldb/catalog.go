@@ -221,8 +221,6 @@ func (db *DB) execStatement(stmt Statement, ex *executor) (int, error) {
 		return db.execDelete(s, ex)
 	case *UpdateStmt:
 		return db.execUpdate(s, ex)
-	case *AnalyzeStmt:
-		return db.execAnalyze(s)
 	case *SelectStmt, *ExplainStmt:
 		return 0, fmt.Errorf("sqldb: use Query for SELECT statements")
 	default:

@@ -428,10 +428,7 @@ func diffSubqueryConjunct(r *rand.Rand, tables []diffTable, allowNested bool, ar
 // planned execution, the DisableIndexScan scan baseline, the fully-ablated
 // nested-loop path, the DisableHashJoin arm (index scans on, so every
 // indexed equi-join runs as an index nested loop, NaN outer keys included),
-// and the planned execution with subquery memoisation off. Halfway through,
-// ANALYZE builds statistics so the second half diffs cost-based plans
-// (covering scans, path choice by estimated rows, hash-join flips) against
-// the same baselines.
+// and the planned execution with subquery memoisation off.
 func runDiffCase(t testing.TB, seed int64, queries int) {
 	r := rand.New(rand.NewSource(seed))
 	db, tables := buildDiffDB(t, r)
@@ -445,11 +442,6 @@ func runDiffCase(t testing.TB, seed int64, queries int) {
 		return db.Query(sql, args...)
 	}
 	for q := 0; q < queries; q++ {
-		if q == queries/2 {
-			if _, err := db.Exec("ANALYZE"); err != nil {
-				t.Fatalf("seed %d: ANALYZE: %v", seed, err)
-			}
-		}
 		sql, args := buildDiffQuery(r, tables)
 		indexed, ierr := run(sql, args, false, false)
 		scanned, serr := run(sql, args, true, false)

@@ -35,8 +35,7 @@ type IndexDump struct {
 
 // Dump is a point-in-time structural copy of a whole database, suitable for
 // serialization. Tables are ordered by name and indexes by (table, creation
-// order), so two dumps of equal databases are deeply equal. It carries no
-// planner statistics: those exist only where an index build derives them.
+// order), so two dumps of equal databases are deeply equal.
 type Dump struct {
 	Tables  []TableDump
 	Indexes []IndexDump
@@ -103,7 +102,7 @@ func (db *DB) dumpLocked() *Dump {
 // on that store without decoding it, and the database takes ownership of
 // every paged store in the dump: on error they are all closed. The result
 // has no logger attached, and its secondary indexes are declared but built
-// lazily on first use, which is also when their statistics appear.
+// lazily on first use.
 func NewFromDump(d *Dump) (*DB, error) {
 	db := New()
 	fail := func(err error) (*DB, error) {

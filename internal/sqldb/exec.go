@@ -361,7 +361,7 @@ func (ex *executor) trySimpleCapped(sel *SelectStmt, parent *scope, capRows int)
 	if !prefiltered {
 		planCounts.fullScan.Add(1)
 		ex.note("scan %s", rel.alias)
-		ex.notePlan("full_scan", -1, 0)
+		ex.notePlan("full_scan", 0)
 		err := ex.storeScan(t, func(_ int, row []Value) error {
 			done, err := emit(row)
 			if err != nil {
@@ -532,7 +532,7 @@ func (ex *executor) execFrom(sel *SelectStmt, parent *scope) ([]relation, []tupl
 			if !used {
 				planCounts.fullScan.Add(1)
 				ex.note("scan %s", rel.alias)
-				ex.notePlan("full_scan", -1, 0)
+				ex.notePlan("full_scan", 0)
 				if rows, err = ex.storeAll(t); err != nil {
 					return nil, nil, err
 				}
@@ -611,16 +611,20 @@ func (ex *executor) join(rels []relation, tuples []tuple, rel relation, rows [][
 			if !ex.db.DisableIndexScan && t != nil {
 				if cr, isCol := right.(*ColumnRef); isCol {
 					if ci, ok := t.colIdx[cr.Column]; ok {
-						// The strategy choice reads the statistics available
-						// at plan time (possibly none — then the probe is
-						// kept) rather than forcing an index build first.
-						if ix := t.indexOn(ci); ix != nil && (ex.db.DisableHashJoin || preferIndexNL(len(tuples), ix)) {
+						// Probing beats building a hash table only while the
+						// outer tuples do not outnumber the inner distinct
+						// keys (each probe is a lookup either way; the hash
+						// join also materializes and hashes the inner
+						// table). An empty index costs nothing to probe.
+						if ix := t.indexOn(ci); ix != nil {
 							if err := ix.ensure(t); err != nil {
 								return nil, err
 							}
-							planCounts.indexJoin.Add(1)
-							ex.note("%s %s using index nested loop (%s)", kind, rel.alias, ix.name)
-							return ex.indexNestedLoopJoin(rels, tuples, rel, t, ix, left, leftJoin, parent)
+							if nk := ix.nkeys(); ex.db.DisableHashJoin || nk == 0 || len(tuples) <= nk {
+								planCounts.indexJoin.Add(1)
+								ex.note("%s %s using index nested loop (%s)", kind, rel.alias, ix.name)
+								return ex.indexNestedLoopJoin(rels, tuples, rel, t, ix, left, leftJoin, parent)
+							}
 						}
 					}
 				}
@@ -746,19 +750,6 @@ func padTuple(tp tuple, rel relation) tuple {
 	copy(nt, tp)
 	nt[len(tp)] = make([]Value, len(rel.cols))
 	return nt
-}
-
-// preferIndexNL decides index-nested-loop vs hash join for an equi-join:
-// with statistics, probing beats building a hash table only while the outer
-// tuple count stays within the inner key cardinality (each probe is a hash
-// lookup either way; the hash join additionally materializes and hashes the
-// whole inner table). Without statistics the index probe is kept.
-func preferIndexNL(outer int, ix *tableIndex) bool {
-	s := ix.stats.Load()
-	if s == nil || s.rows == 0 || len(s.prefixNDV) == 0 || s.prefixNDV[0] == 0 {
-		return true // no stats, or an empty inner side: probing costs nothing
-	}
-	return outer <= s.prefixNDV[0]
 }
 
 // nestedEquiLoopJoin is the equi-join fallback when both the index probe and

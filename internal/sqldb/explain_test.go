@@ -52,16 +52,13 @@ func explainFixture(t *testing.T) *DB {
 
 // TestExplainGolden renders EXPLAIN for one query per plan shape and diffs
 // it against testdata/explain/<name>.golden; run with -update to accept
-// intentional plan changes as readable diffs in review. Every case gets a
-// fresh fixture so no case inherits statistics built by an earlier one:
-// stats-informed plans are demonstrated explicitly via a setup ANALYZE. A
-// golden file no case names fails the test, so a renamed or deleted case
-// cannot leave its old plan behind.
+// intentional plan changes as readable diffs in review. A golden file no
+// case names fails the test, so a renamed or deleted case cannot leave its
+// old plan behind.
 func TestExplainGolden(t *testing.T) {
 	cases := []struct {
-		name  string
-		sql   string
-		setup []string // statements executed before the EXPLAIN
+		name string
+		sql  string
 	}{
 		{name: "full_scan", sql: "SELECT * FROM candidates"},
 		{name: "index_eq", sql: "SELECT * FROM candidates WHERE time = 3"},
@@ -69,7 +66,7 @@ func TestExplainGolden(t *testing.T) {
 		{name: "composite_prefix", sql: "SELECT COUNT(*) FROM candidates WHERE time = 3 AND p > 0.5"},
 		{name: "residual_range", sql: "SELECT COUNT(*) FROM candidates WHERE time = 2 AND gap <= 1"},
 		{name: "null_probe", sql: "SELECT * FROM candidates WHERE time = NULL"},
-		{name: "index_join", sql: "SELECT COUNT(*) FROM candidates c INNER JOIN temporal_inputs ti ON ti.time = c.time"},
+		{name: "index_join", sql: "SELECT COUNT(*) FROM temporal_inputs ti INNER JOIN candidates c ON c.time = ti.time"},
 		{name: "hash_join", sql: "SELECT COUNT(*) FROM candidates c LEFT JOIN temporal_inputs ti ON c.income = ti.income"},
 		{name: "nested_loop_join", sql: "SELECT COUNT(*) FROM temporal_inputs a INNER JOIN temporal_inputs b ON a.time < b.time"},
 		{name: "topk_desc", sql: "SELECT * FROM candidates ORDER BY p DESC LIMIT 1"},
@@ -79,10 +76,6 @@ func TestExplainGolden(t *testing.T) {
 		{name: "covering_group", sql: "SELECT gap, COUNT(*) FROM candidates GROUP BY gap"},
 		{name: "or_full_scan", sql: "SELECT * FROM candidates WHERE time = 1 OR gap = 2"},
 		{name: "in_list", sql: "SELECT * FROM candidates WHERE time IN (1, 3)"},
-		{name: "analyzed_eq", sql: "SELECT * FROM candidates WHERE time = 3",
-			setup: []string{"ANALYZE candidates"}},
-		{name: "analyzed_residual_range", sql: "SELECT * FROM candidates WHERE time = 2 AND gap <= 1",
-			setup: []string{"ANALYZE candidates"}},
 		{name: "dominant_feature", sql: `SELECT distinct time as t FROM candidates WHERE EXISTS
 (SELECT * FROM candidates as cnd INNER JOIN temporal_inputs as ti ON ti.time = cnd.time
  WHERE cnd.time = t AND gap <= 1
@@ -107,9 +100,6 @@ func TestExplainGolden(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			db := explainFixture(t)
-			for _, s := range tc.setup {
-				db.MustExec(s)
-			}
 			res, err := db.Query("EXPLAIN " + tc.sql)
 			if err != nil {
 				t.Fatal(err)
@@ -170,10 +160,7 @@ func TestExplainExecutesForReal(t *testing.T) {
 }
 
 // TestPlanCountersAdvance asserts the per-shape counters move when their
-// plans run (deltas only: the counters are process-wide). Each check plans
-// against a fresh fixture so statistics built by one check cannot flip the
-// plan shape the next check pins (a COUNT(*) probe is a covering scan, a
-// SELECT * of the same predicate is a plain index scan, and so on).
+// plans run (deltas only: the counters are process-wide).
 func TestPlanCountersAdvance(t *testing.T) {
 	checks := []struct {
 		key string
@@ -184,7 +171,7 @@ func TestPlanCountersAdvance(t *testing.T) {
 		{"covering_scan", "SELECT COUNT(*) FROM candidates WHERE time = 1"},
 		{"empty_probe", "SELECT COUNT(*) FROM candidates WHERE time = NULL"},
 		{"top_k", "SELECT * FROM candidates ORDER BY p DESC LIMIT 1"},
-		{"index_join", "SELECT COUNT(*) FROM candidates c INNER JOIN temporal_inputs ti ON ti.time = c.time"},
+		{"index_join", "SELECT COUNT(*) FROM temporal_inputs ti INNER JOIN candidates c ON c.time = ti.time"},
 		{"hash_join", "SELECT COUNT(*) FROM candidates c INNER JOIN temporal_inputs ti ON c.income = ti.income"},
 		{"nested_loop_join", "SELECT COUNT(*) FROM temporal_inputs a INNER JOIN temporal_inputs b ON a.time < b.time"},
 	}
@@ -220,8 +207,7 @@ func run0(t *testing.T, st *Stmt, db *DB, args ...Value) *Result {
 
 // TestPlanCacheLifecycle: a prepared statement plans every execution, so
 // repeated runs, a rebound parameter and a NULL probe each answer for their
-// own arguments — the first run planned blind (its index build publishes the
-// first statistics) and the later ones with statistics.
+// own arguments.
 func TestPlanCacheLifecycle(t *testing.T) {
 	db := explainFixture(t)
 	st := MustPrepare("SELECT * FROM candidates WHERE time = ?")
@@ -246,7 +232,6 @@ func TestPlanCacheLifecycle(t *testing.T) {
 // a later CREATE INDEX may take the plan over.
 func TestDropIndexInvalidatesCachedPlan(t *testing.T) {
 	db := explainFixture(t)
-	db.MustExec("ANALYZE")
 	const q = "SELECT * FROM candidates WHERE time = 2"
 	st := MustPrepare(q)
 
@@ -276,7 +261,6 @@ func TestDropIndexInvalidatesCachedPlan(t *testing.T) {
 // once per outer row — all run through DB.Query/Exec and return their rows.
 func TestPlanCacheHoldsNoAdHocPlans(t *testing.T) {
 	db := explainFixture(t)
-	db.MustExec("ANALYZE")
 	for i := 0; i < 1000; i++ {
 		if _, err := db.Query(fmt.Sprintf("SELECT * FROM candidates WHERE time = %d AND p > 0.%d", i%4, i)); err != nil {
 			t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // tableIndex is a secondary index over one or more columns, stored flat:
@@ -48,11 +47,6 @@ type tableIndex struct {
 	// because some indexed column is NaN (and none is NULL), likewise.
 	nullRows []int
 	nanRows  []int
-
-	// stats is the distribution snapshot the cost model reads (see
-	// stats.go). It is published atomically because readers cost paths
-	// before taking ix.mu.
-	stats atomic.Pointer[indexStats]
 }
 
 // nkeys returns the number of distinct key tuples.
@@ -164,9 +158,6 @@ func (ix *tableIndex) ensure(t *Table) error {
 	ix.nullRows = nullRows
 	ix.nanRows = nanRows
 	ix.built = t.version
-	// The sorted distinct tuples and their row runs are exactly what the
-	// statistics need; derive them here for free. The next plan reads them.
-	ix.stats.Store(deriveIndexStats(ix))
 	return nil
 }
 

@@ -22,9 +22,10 @@ func joinEdgeDB(t *testing.T, emptyInner bool) *DB {
 	return db
 }
 
-// runJoinAllPaths executes q under every join strategy — index nested loop
-// (index enabled), hash (index disabled), and plain nested loop (both
-// disabled) — failing on any divergence, and returns the common result.
+// runJoinAllPaths executes q as planned and under every join strategy —
+// index nested loop (hash disabled), hash (index disabled), and plain nested
+// loop (both disabled) — failing on any divergence, and returns the common
+// result.
 func runJoinAllPaths(t *testing.T, db *DB, q string) *Result {
 	t.Helper()
 	run := func(disableIndex, disableHash bool) *Result {
@@ -37,16 +38,20 @@ func runJoinAllPaths(t *testing.T, db *DB, q string) *Result {
 		}
 		return res
 	}
-	indexed := run(false, false)
+	planned := run(false, false)
+	indexed := run(false, true)
 	hashed := run(true, false)
 	nested := run(true, true)
+	if !reflect.DeepEqual(planned, hashed) {
+		t.Fatalf("%s: planned join diverges from hash join:\nplanned: %+v\nhash:    %+v", q, planned, hashed)
+	}
 	if !reflect.DeepEqual(indexed, hashed) {
 		t.Fatalf("%s: index join diverges from hash join:\nindex: %+v\nhash:  %+v", q, indexed, hashed)
 	}
 	if !reflect.DeepEqual(hashed, nested) {
 		t.Fatalf("%s: hash join diverges from nested loop:\nhash:   %+v\nnested: %+v", q, hashed, nested)
 	}
-	return indexed
+	return planned
 }
 
 // assertPlanContains EXPLAINs q and requires the fragment in the plan text,
@@ -65,7 +70,12 @@ func assertPlanContains(t *testing.T, db *DB, q, fragment string) {
 func TestJoinNullKeysAllPaths(t *testing.T) {
 	db := joinEdgeDB(t, false)
 	const inner = `SELECT o.id, c.name FROM orders o INNER JOIN customers c ON o.cust = c.id ORDER BY o.id`
+	// Four orders outnumber the two keyed customers, so the planner hashes;
+	// with the hash join off, the same join probes customers_id.
+	assertPlanContains(t, db, inner, "hash join")
+	db.DisableHashJoin = true
 	assertPlanContains(t, db, inner, "index nested loop (customers_id)")
+	db.DisableHashJoin = false
 	res := runJoinAllPaths(t, db, inner)
 	// NULL never equi-joins from either side: order 13 (NULL cust) and the
 	// NULL-id 'ghost' customer must both vanish from the inner join.
@@ -121,21 +131,7 @@ func TestIndexJoinKeyFamilyParity(t *testing.T) {
 	db.MustExec("INSERT INTO l VALUES (0), (1), (2), (NULL)")
 	db.MustExec("INSERT INTO flags VALUES (TRUE, 'yes'), (FALSE, 'no'), (NULL, 'null')")
 	db.MustExec("CREATE INDEX flags_b ON flags (b)")
-	q := `SELECT l.k, f.tag FROM l LEFT JOIN flags f ON l.k = f.b ORDER BY l.k`
-	db.DisableIndexScan = false
-	indexed, err := db.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db.DisableIndexScan = true
-	hashed, err := db.Query(q)
-	db.DisableIndexScan = false
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(indexed, hashed) {
-		t.Fatalf("index join diverges from hash join on BOOL keys:\nindex: %+v\nhash:  %+v", indexed, hashed)
-	}
+	runJoinAllPaths(t, db, `SELECT l.k, f.tag FROM l LEFT JOIN flags f ON l.k = f.b ORDER BY l.k`)
 	// Float keys with a stored INT column and vice versa DO match across
 	// the numeric family.
 	db.MustExec("CREATE TABLE r (k FLOAT)")

@@ -93,14 +93,6 @@ func (p *parser) parseStatement() (Statement, error) {
 			return nil, err
 		}
 		return &ExplainStmt{Sel: sel}, nil
-	case p.at(tkIdent, "") && strings.EqualFold(p.cur().text, "ANALYZE"):
-		// ANALYZE is contextual for the same reason as EXPLAIN.
-		p.next()
-		var table string
-		if p.at(tkIdent, "") {
-			table = p.next().text
-		}
-		return &AnalyzeStmt{Table: table}, nil
 	default:
 		return nil, p.errorf("expected a statement, got %q", p.cur().text)
 	}

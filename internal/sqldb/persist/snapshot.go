@@ -42,8 +42,8 @@ const (
 	// the buffer pool instead of decoding the whole table.
 	recPagedTable uint8 = 4
 	// recStats carried one index's planner statistics in older snapshots.
-	// Statistics are no longer stored (index builds derive them), so the
-	// record is never written, and a reader skips it.
+	// The planner keeps no statistics, so the record is never written, and
+	// a reader skips it.
 	recStats uint8 = 5
 )
 

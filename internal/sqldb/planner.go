@@ -9,7 +9,7 @@ import (
 	"justintime/internal/sqldb/pager"
 )
 
-// This file is the cost-aware access-path planner behind SELECT execution:
+// This file is the structural access-path planner behind SELECT execution:
 // it decides, per query level, how the first FROM table is scanned (full
 // scan, one single/composite index scan, or an impossible NULL probe) and
 // whether an ORDER BY ... LIMIT can stream top-k rows out of a sorted index
@@ -421,65 +421,13 @@ func buildPaths(t *Table, set sargSet) []accessPath {
 	return out
 }
 
-// pathEstimate estimates the candidate rows one path yields, from the
-// index's statistics: an equality prefix divides rows by the prefix NDV, an
-// IN list multiplies one deeper prefix's share by its member count, a range
-// on the leading column reads the histogram, a range on a later column
-// applies a fixed selectivity. Every path re-admits the index's NaN rows and
-// unconstrained trailing columns its NULL rows (as pathPositions does). The
-// estimate is clamped to [1, rows+nullRows+nanRows]; ok=false when no
-// statistics have been derived yet.
-func pathEstimate(p accessPath) (float64, bool) {
-	s := p.ix.stats.Load()
-	if s == nil {
-		return 0, false
-	}
-	rows := float64(s.rows)
-	est := rows
-	k := len(p.eq)
-	if k > 0 && s.prefixNDV[k-1] > 0 {
-		est = rows / float64(s.prefixNDV[k-1])
-	}
-	switch {
-	case len(p.in) > 0:
-		if ndv := s.prefixNDV[k]; ndv > 0 {
-			est = float64(len(p.in)) * rows / float64(ndv)
-		}
-	case p.rng != nil:
-		if k == 0 {
-			est = s.rangeRows(p.rng.lo, p.rng.hi, p.rng.loStrict, p.rng.hiStrict)
-		} else {
-			est *= defaultRangeSelectivity
-		}
-	}
-	est += float64(s.nanRows)
-	if p.usedCols() < len(p.ix.cols) {
-		est += float64(s.nullRows)
-	}
-	if est < 1 {
-		est = 1
-	}
-	if max := rows + float64(s.nullRows+s.nanRows); est > max {
-		est = max
-	}
-	return est, true
-}
-
-// choosePath picks the one path a scan executes. With statistics on every
-// candidate it is the fewest estimated rows; otherwise (and to break ties) the
-// structural order decides: most constrained columns first, equality beating
-// range, covering beating non-covering, narrower indexes beating wider ones,
-// name as the deterministic tiebreak. The second result reports whether the
-// path's index holds every column the statement reads (see coveringRefs), so
-// the scan is answered from key tuples alone.
+// choosePath picks the one path a scan executes, in structural order: most
+// constrained columns first, equality beating range, covering beating
+// non-covering, narrower indexes beating wider ones, name as the
+// deterministic tiebreak. The second result reports whether the path's
+// index holds every column the statement reads (see coveringRefs), so the
+// scan is answered from key tuples alone.
 func choosePath(paths []accessPath, coverCols map[int]bool, coverOK bool) (accessPath, bool) {
-	allEst := true
-	for _, p := range paths {
-		if _, ok := pathEstimate(p); !ok {
-			allEst = false
-			break
-		}
-	}
 	covers := func(p accessPath) bool {
 		if !coverOK {
 			return false
@@ -492,13 +440,6 @@ func choosePath(paths []accessPath, coverCols map[int]bool, coverOK bool) (acces
 		return true
 	}
 	less := func(a, b accessPath) bool {
-		if allEst {
-			ea, _ := pathEstimate(a)
-			eb, _ := pathEstimate(b)
-			if ea != eb {
-				return ea < eb
-			}
-		}
 		if a.usedCols() != b.usedCols() {
 			return a.usedCols() > b.usedCols()
 		}
@@ -562,10 +503,9 @@ func pathPositions(p accessPath) []int {
 // indexScan tries to answer the sargable WHERE conjuncts on the first FROM
 // table through one secondary index: a single (possibly composite) index
 // scan, covering when the index holds every column the statement reads.
-// Every execution plans afresh from the current statistics. It returns the
-// filtered rows (a superset of the rows the full WHERE will keep — the
-// residual WHERE still runs over every returned row) and whether an index
-// was used. See the error-parity contract at the top of this file.
+// It returns the filtered rows (a superset of the rows the full WHERE will
+// keep — the residual WHERE still runs over every returned row) and whether
+// an index was used. See the error-parity contract at the top of this file.
 func (ex *executor) indexScan(t *Table, rel relation, sel *SelectStmt, parent *scope) ([][]Value, bool, error) {
 	if t == nil || len(t.indexes) == 0 {
 		return nil, false, nil
@@ -579,7 +519,7 @@ func (ex *executor) indexScan(t *Table, rel relation, sel *SelectStmt, parent *s
 		// the paths; skip path choice but keep the sentinel-row contract.
 		planCounts.emptyProbe.Add(1)
 		ex.note("scan %s using impossible predicate (NULL probe)", rel.alias)
-		ex.notePlan("empty_probe", 0, 0)
+		ex.notePlan("empty_probe", 0)
 		return ex.sentinelRows(t)
 	}
 	var planStart time.Time
@@ -595,12 +535,6 @@ func (ex *executor) indexScan(t *Table, rel relation, sel *SelectStmt, parent *s
 	var planDur time.Duration
 	if ex.span != nil {
 		planDur = time.Since(planStart)
-	}
-	// Estimate before ensure: the note must reflect the statistics the plan
-	// was chosen under, not the ones this execution's index build derives.
-	estRows := int64(-1)
-	if e, ok := pathEstimate(path); ok {
-		estRows = int64(e + 0.5)
 	}
 	if err := path.ix.ensure(t); err != nil {
 		return nil, false, err
@@ -618,13 +552,9 @@ func (ex *executor) indexScan(t *Table, rel relation, sel *SelectStmt, parent *s
 		if covering {
 			kind = "covering index"
 		}
-		suffix := ""
-		if estRows >= 0 {
-			suffix = fmt.Sprintf(" est_rows=%d", estRows)
-		}
-		ex.note("scan %s using %s %s%s", rel.alias, kind, path.describe(t), suffix)
+		ex.note("scan %s using %s %s", rel.alias, kind, path.describe(t))
 	}
-	ex.notePlan(shape, estRows, planDur)
+	ex.notePlan(shape, planDur)
 	if len(pos) == 0 && t.store.Len() > 0 {
 		// Keep one sentinel row: the sargable conjuncts are not TRUE on it,
 		// so the residual WHERE drops it — but row-independent errors in
@@ -806,7 +736,7 @@ func (ex *executor) coveringFullScan(t *Table, rel relation, sel *SelectStmt) ([
 	}
 	planCounts.coveringScan.Add(1)
 	ex.note("scan %s using covering index %s", rel.alias, best.name)
-	ex.notePlan("covering_scan", -1, 0)
+	ex.notePlan("covering_scan", 0)
 	return rows, true, nil
 }
 
@@ -1128,7 +1058,7 @@ func (ex *executor) tryTopK(sel *SelectStmt, parent *scope) (*Result, bool, erro
 	}
 
 	planCounts.topK.Add(1)
-	ex.notePlan("top_k", -1, 0)
+	ex.notePlan("top_k", 0)
 	if ex.trace != nil {
 		parts := make([]string, 0, j+len(orderCols))
 		for i := 0; i < j; i++ {

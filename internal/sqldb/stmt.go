@@ -99,11 +99,8 @@ func (st *Stmt) Exec(db *DB, args ...Value) (int, error) {
 	// Log whenever state may have changed: a clean success (DDL reports
 	// n=0, err=nil) or a partial INSERT (n>0 with an error; replaying the
 	// deterministic statement reproduces the identical partial effect).
-	// SELECT-through-Exec and pure failures mutate nothing and are skipped,
-	// as is ANALYZE: it only refreshes statistics, which are never persisted
-	// (a rehydrated database derives them again at its first index build).
-	_, isAnalyze := st.stmt.(*AnalyzeStmt)
-	if db.logger != nil && !isAnalyze && (err == nil || n > 0) {
+	// SELECT-through-Exec and pure failures mutate nothing and are skipped.
+	if db.logger != nil && (err == nil || n > 0) {
 		if lerr := db.logger.LogExec(st.sql, args); lerr != nil {
 			lerr = fmt.Errorf("sqldb: statement applied but not logged: %w", lerr)
 			if err == nil {

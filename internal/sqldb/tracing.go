@@ -90,13 +90,10 @@ func (st *Stmt) queryTraced(ctx context.Context, db *DB, maxRows int, args []Val
 		// The statement is slow enough that its trace is guaranteed a slot in
 		// the collector's slow ring — spend the extra work of rendering its
 		// plan. The EXPLAIN machinery re-plans and re-executes the statement
-		// against the statistics current now, so the text can differ from
-		// the plan that ran: when this statement's own index build derived a
-		// table's first statistics, the re-run costs with them (a path the
-		// structural order picked may come back as the index with the
-		// fewest estimated rows).
-		// Fast statements never pay this.
-		ex2 := &executor{db: db, params: args, capRows: ex.capRows}
+		// under the same read lock; a plan depends only on the statement and
+		// the rows, so the text is the plan that ran. Fast statements never
+		// pay this.
+		ex2 := &executor{db: db, params: args}
 		if maxRows > 0 {
 			ex2.capRows = maxRows
 		}
@@ -155,18 +152,12 @@ func (ex *executor) storeAll(t *Table) ([][]Value, error) {
 }
 
 // notePlan records one scan decision on the statement's trace span as a
-// "plan" event: the chosen shape, the planning time d, and the optimizer's
-// row estimate (estRows < 0 when no estimate exists). Statements with
+// "plan" event: the chosen shape and the planning time d. Statements with
 // several scans (joins, subqueries) record several decisions; the first is
 // the statement's first access-path choice.
-func (ex *executor) notePlan(shape string, estRows int64, d time.Duration) {
+func (ex *executor) notePlan(shape string, d time.Duration) {
 	if ex.span == nil {
 		return
 	}
-	attrs := make([]obs.Attr, 1, 2)
-	attrs[0] = obs.Attr{Key: "plan_shape", Val: shape}
-	if estRows >= 0 {
-		attrs = append(attrs, obs.Attr{Key: "est_rows", Val: strconv.FormatInt(estRows, 10)})
-	}
-	ex.span.Event("plan", d, attrs...)
+	ex.span.Event("plan", d, obs.Attr{Key: "plan_shape", Val: shape})
 }
