@@ -141,7 +141,9 @@ func runE3(quick bool) error {
 }
 
 // runE6 measures the wall-clock speedup of running the T+1 independent
-// candidate generators with increasing worker counts.
+// candidate generators with increasing worker counts, and with the default
+// (workers=0: min(T+1, GOMAXPROCS), each worker reusing one search's memory
+// for its next time point).
 func runE6(quick bool) error {
 	cfg := justintime.DefaultLoanDemoConfig()
 	cfg.T = 7 // 8 generators
@@ -152,9 +154,9 @@ func runE6(quick bool) error {
 	}
 	fmt.Printf("machine: %d CPU core(s), GOMAXPROCS=%d - speedup is bounded by this\n",
 		runtime.NumCPU(), runtime.GOMAXPROCS(0))
-	fmt.Printf("%-8s %-12s %s\n", "workers", "wall clock", "speedup")
+	fmt.Printf("%-12s %-12s %s\n", "workers", "wall clock", "speedup")
 	var base time.Duration
-	for _, workers := range []int{1, 2, 4, 8} {
+	for _, workers := range []int{1, 2, 4, 8, 0} {
 		cfg.Workers = workers
 		demo, err := justintime.NewLoanDemo(cfg)
 		if err != nil {
@@ -168,7 +170,11 @@ func runE6(quick bool) error {
 		if workers == 1 {
 			base = dur
 		}
-		fmt.Printf("%-8d %-12v %.2fx\n", workers, dur.Round(time.Millisecond), float64(base)/float64(dur))
+		label := fmt.Sprint(workers)
+		if workers == 0 {
+			label = "0 (default)"
+		}
+		fmt.Printf("%-12s %-12v %.2fx\n", label, dur.Round(time.Millisecond), float64(base)/float64(dur))
 	}
 	fmt.Println("expected shape: near-linear until workers reach the number of generators or cores")
 	return nil

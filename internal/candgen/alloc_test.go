@@ -1,6 +1,7 @@
 package candgen
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -8,45 +9,60 @@ import (
 )
 
 // TestGenerateAllocations bounds the heap allocations and the bytes
-// allocated by one search on fixed 2-D problems. Pool entries, keys and
-// vectors live in fixed-size chunks and every hot path (keys, constraint
-// contexts, moves, shrink midpoints, top-K) reuses scratch space sized once
-// per search, so what remains is mostly the per-iteration model outputs
-// (batch scores, and the logistic gradient) plus a few chunks. The budgets
-// are the measured counts and bytes on go1.24/amd64 (459 and 238
-// allocations, 480 and 716 KiB) plus ~10%. A per-entry allocation costs
-// thousands more allocations, and an arena that grows by doubling copies
-// and strands its old arrays, which shows in the bytes.
+// allocated by one search on fixed 2-D problems, fresh and on a warm
+// Searcher. Pool entries, keys and vectors live in fixed-size chunks and
+// every hot path (keys, constraint contexts, moves, shrink midpoints,
+// top-K) reuses scratch space, so a fresh search allocates mostly the
+// per-iteration model outputs (batch scores, and the logistic gradient)
+// plus its chunks and buffers. A warm Searcher already holds those chunks
+// and buffers from its previous search, so it allocates the model outputs,
+// the per-search schema and constraint set-up and the returned candidates.
+// The budgets are the measured counts and bytes on go1.24/amd64 plus ~10%:
+// fresh 459 and 238 allocations, 480 and 716 KiB; warm 339 and 94
+// allocations, 41 and 81 KiB. A per-entry allocation costs thousands more
+// allocations, an arena that grows by doubling copies and strands its old
+// arrays, and scratch a warm Searcher rebuilds costs the fresh bytes.
 func TestGenerateAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds allocations of its own")
 	}
 	schema := twoDSchema(t)
+	type budget struct{ allocs, kibytes float64 }
 	cases := []struct {
-		name            string
-		model           mlmodel.Model
-		input           []float64
-		allocs, kibytes float64
+		name        string
+		model       mlmodel.Model
+		input       []float64
+		fresh, warm budget
 	}{
-		{"logistic", trainedLogistic(t), []float64{20, 40}, 505, 530},
-		{"forest", trainedForest(t), []float64{30, 30}, 265, 790},
+		{"logistic", trainedLogistic(t), []float64{20, 40}, budget{505, 530}, budget{373, 45}},
+		{"forest", trainedForest(t), []float64{30, 30}, budget{265, 790}, budget{103, 89}},
+	}
+	check := func(name string, b budget, run func()) {
+		got := testing.AllocsPerRun(5, run)
+		kib := allocatedKiB(5, run)
+		t.Logf("%s: %.0f allocs, %.1f KiB per search", name, got, kib)
+		if got > b.allocs {
+			t.Errorf("%s: %.0f allocs per search, budget %.0f", name, got, b.allocs)
+		}
+		if kib > b.kibytes {
+			t.Errorf("%s: %.1f KiB allocated per search, budget %.0f", name, kib, b.kibytes)
+		}
 	}
 	for _, c := range cases {
 		p := Problem{Schema: schema, Model: c.model, Threshold: 0.5, Input: c.input}
-		run := func() {
+		check(c.name, c.fresh, func() {
 			if _, _, err := Generate(p, DefaultConfig()); err != nil {
 				t.Fatal(err)
 			}
-		}
-		got := testing.AllocsPerRun(5, run)
-		kib := allocatedKiB(5, run)
-		t.Logf("%s: %.0f allocs, %.1f KiB per Generate", c.name, got, kib)
-		if got > c.allocs {
-			t.Errorf("%s: %.0f allocs per Generate, budget %.0f", c.name, got, c.allocs)
-		}
-		if kib > c.kibytes {
-			t.Errorf("%s: %.1f KiB allocated per Generate, budget %.0f", c.name, kib, c.kibytes)
-		}
+		})
+		// Both measurements run a warm-up call first, so every measured
+		// search finds the Searcher's scratch already sized.
+		var sr Searcher
+		check(c.name+" warm Searcher", c.warm, func() {
+			if _, _, err := sr.Generate(context.Background(), p, DefaultConfig()); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

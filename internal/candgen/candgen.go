@@ -153,14 +153,26 @@ type Stats struct {
 // Generate runs the search and returns at most cfg.K diverse decision-
 // altering candidates, ordered by scalarized quality (best first).
 func Generate(p Problem, cfg Config) ([]Candidate, Stats, error) {
-	return GenerateContext(context.Background(), p, cfg)
+	return new(Searcher).Generate(context.Background(), p, cfg)
 }
 
-// GenerateContext is Generate with cooperative cancellation: the search
-// checks ctx between axis probes, beam iterations and shrink rounds, and
-// returns an error wrapping ctx.Err() as soon as it observes cancellation,
-// so a disconnected client stops burning CPU within one iteration.
-func GenerateContext(ctx context.Context, p Problem, cfg Config) ([]Candidate, Stats, error) {
+// Searcher runs searches one after another and keeps their scratch memory
+// from one search to the next: the pool's and the beam's key tables, the
+// pool's entry and vector chunks, and the beam, shrink and top-K buffers.
+// A caller that runs several searches in a row (one session's time points)
+// then allocates that memory once instead of once per search. The output
+// does not depend on what the Searcher ran before. The zero value is ready
+// to use; a Searcher is not safe for concurrent use.
+type Searcher struct {
+	s search
+}
+
+// Generate is the package-level Generate on the Searcher's scratch memory,
+// with cooperative cancellation: the search checks ctx between axis probes,
+// beam iterations and shrink rounds, and returns an error wrapping
+// ctx.Err() as soon as it observes cancellation, so a disconnected client
+// stops burning CPU within one iteration.
+func (sr *Searcher) Generate(ctx context.Context, p Problem, cfg Config) ([]Candidate, Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -183,25 +195,27 @@ func GenerateContext(ctx context.Context, p Problem, cfg Config) ([]Candidate, S
 	p.Constraints = p.Constraints.Bind(p.Schema)
 
 	d := p.Schema.Dim()
-	s := &search{
-		ctx:     ctx,
-		p:       p,
-		cfg:     cfg,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		box:     box,
-		scales:  p.Schema.Scales(),
-		mutable: p.Schema.MutableIndices(),
-		pool:    pool{keys: newKeyTable(keyBytes * d), dim: d},
-		stats:   Stats{FirstFeasibleIter: -1},
-		cctx:    constraints.Context{Schema: p.Schema, Original: p.Input, Time: p.Time},
-		row:     make([]float64, d),
+	s := &sr.s
+	s.ctx, s.p, s.cfg, s.box = ctx, p, cfg, box
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(cfg.Seed))
+	} else {
+		s.rng.Seed(cfg.Seed)
 	}
+	s.scales = p.Schema.Scales()
+	s.mutable = p.Schema.MutableIndices()
+	s.pool.reset(d)
+	s.stats = Stats{FirstFeasibleIter: -1}
+	s.cctx = constraints.Context{Schema: p.Schema, Original: p.Input, Time: p.Time}
+	s.row = resize(s.row, d)
+	s.probe = resize(s.probe, d)
 	// The ensemble's split-threshold map is invariant for the whole search:
 	// aggregate it once here instead of on every beam expansion.
+	s.thresholds = nil
 	if tm, ok := p.Model.(thresholder); ok {
 		s.thresholds = tm.Thresholds()
 	}
-	s.keyScales = make([]float64, len(s.scales))
+	s.keyScales = resize(s.keyScales, d)
 	for i, sc := range s.scales {
 		if sc <= 0 {
 			sc = 1
@@ -252,10 +266,19 @@ type poolEntry struct {
 // are carved from chunks of keyChunk, so inserting copies nothing already
 // stored and neither holds a pointer.
 type pool struct {
-	keys    *keyTable
+	keys    keyTable
 	dim     int
 	entries [][]poolEntry
 	vecs    [][]float64
+}
+
+// reset empties the pool for vectors of dimension dim, keeping its chunks
+// when dim is unchanged.
+func (p *pool) reset(dim int) {
+	p.keys.reset(keyBytes * dim)
+	if dim != p.dim {
+		p.dim, p.entries, p.vecs = dim, nil, nil
+	}
 }
 
 func (p *pool) len() int { return p.keys.len() }
@@ -270,7 +293,7 @@ func (p *pool) vec(slot int32) []float64 {
 // set stores e and a copy of x in slot, which is either taken or the first
 // free one.
 func (p *pool) set(slot int32, e poolEntry, x []float64) {
-	if int(slot) == len(p.entries)*keyChunk {
+	if int(slot/keyChunk) == len(p.entries) {
 		p.entries = append(p.entries, make([]poolEntry, keyChunk))
 		p.vecs = append(p.vecs, make([]float64, keyChunk*p.dim))
 	}
@@ -300,8 +323,36 @@ type search struct {
 	keyBuf    []byte
 	// cctx is the constraint-evaluation context, reused for every point.
 	cctx constraints.Context
-	// row is consider's scratch vector.
-	row []float64
+	// row is consider's scratch vector, probe the axis probes'.
+	row, probe []float64
+
+	// Scratch that a Searcher keeps from one search to the next; each phase
+	// resizes and resets what it uses. The beam's: its dedup keys, the
+	// two move arenas it swaps, the scored copies, the next states with
+	// their ranks and order, and the states it keeps.
+	seen                        keyTable
+	moves, prevMoves, scoredBuf []float64
+	scored                      [][]float64
+	next, states                []beamState
+	ranks                       []float64
+	order                       []int
+	// shrinkPool's: the slots it walks, their original vectors, the
+	// bisection bounds, and the midpoint arena with its row views.
+	slots                   []int32
+	originals, lo, hi, mids []float64
+	midRows                 [][]float64
+	// selectTopK's.
+	picked []bool
+	maxSim []float64
+}
+
+// resize returns buf with length n, reusing its array when it is large
+// enough. The contents are not cleared.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // ctxErr translates a cancelled context into the search's error, checked at
@@ -383,7 +434,7 @@ func (s *search) quality(x []float64, gap int, conf float64) float64 {
 // axisProbes binary-searches each mutable feature axis for the smallest
 // single-feature modification that alters the decision, in both directions.
 func (s *search) axisProbes() error {
-	probe := make([]float64, len(s.p.Input))
+	probe := s.probe
 	for _, i := range s.mutable {
 		if err := s.ctxErr(); err != nil {
 			return err
@@ -430,23 +481,24 @@ type beamState struct {
 func (s *search) beam() error {
 	d := s.p.Schema.Dim()
 	start := s.p.Schema.Clamp(s.p.Input)
-	seen := newKeyTable(keyBytes * d)
+	seen := &s.seen
+	seen.reset(keyBytes * d)
 	seen.insert(s.key(start))
 
 	// Moves are flat rows of d values. The beam's states point into the
 	// previous iteration's move arena while this iteration's moves are
 	// written to the other one; the two swap after every iteration. At most
 	// BeamWidth states propose at most movesPerState moves each, so the
-	// scratch is sized once here and no append below grows it.
+	// scratch is sized here and no append below grows it; it is stored
+	// back before the loop, so the swaps lose no array.
 	n := s.cfg.BeamWidth * s.movesPerState()
-	moves := make([]float64, 0, n*d)
-	prevMoves := make([]float64, 0, n*d)
-	scoredBuf := make([]float64, 0, n*d)
-	scored := make([][]float64, 0, n)
-	next := make([]beamState, 0, n)
-	ranks := make([]float64, 0, n)
-	order := make([]int, 0, n)
-	beam := make([]beamState, 1, s.cfg.BeamWidth)
+	s.moves, s.prevMoves = resize(s.moves, n*d), resize(s.prevMoves, n*d)
+	s.scoredBuf, s.scored = resize(s.scoredBuf, n*d), resize(s.scored, n)
+	s.next, s.ranks, s.order = resize(s.next, n), resize(s.ranks, n), resize(s.order, n)
+	s.states = resize(s.states, s.cfg.BeamWidth)
+	moves, prevMoves, scoredBuf, scored := s.moves[:0], s.prevMoves[:0], s.scoredBuf[:0], s.scored[:0]
+	next, ranks, order := s.next[:0], s.ranks[:0], s.order[:0]
+	beam := s.states[:1]
 	beam[0] = beamState{x: start, conf: s.p.Model.Predict(start)}
 	s.stats.Evaluations++
 	bestObjective := math.Inf(-1)
@@ -666,12 +718,13 @@ func (s *search) thresholdMoves(dst, x []float64, i int, thrs []float64) []float
 // The searches run in lockstep so each of the cfg.ShrinkRounds bisection
 // rounds scores every candidate's midpoint with one batch model call.
 func (s *search) shrinkPool() error {
-	var slots []int32
+	slots := s.slots[:0]
 	for i := int32(0); i < int32(s.pool.len()); i++ {
 		if s.pool.entry(i).diff > 0 {
 			slots = append(slots, i)
 		}
 	}
+	s.slots = slots
 	if len(slots) == 0 {
 		return nil
 	}
@@ -683,19 +736,21 @@ func (s *search) shrinkPool() error {
 	// The shrink set is fixed before any round runs, and its vectors are
 	// copied here: the rounds may overwrite an entry in place.
 	d := s.p.Schema.Dim()
-	originals := make([]float64, len(slots)*d)
+	s.originals = resize(s.originals, len(slots)*d)
+	originals := s.originals
 	for j, slot := range slots {
 		copy(originals[j*d:], s.pool.vec(slot))
 	}
-	lo := make([]float64, len(slots)) // fraction of the way input->candidate
-	hi := make([]float64, len(slots))
+	s.lo, s.hi = resize(s.lo, len(slots)), resize(s.hi, len(slots))
+	lo, hi := s.lo, s.hi // fraction of the way input->candidate
+	clear(lo)
 	for i := range hi {
 		hi[i] = 1
 	}
 	// Midpoints are drawn from one arena reused by every round; the pool
 	// copies those it keeps.
-	arena := make([]float64, len(slots)*d)
-	rows := make([][]float64, len(slots))
+	s.mids, s.midRows = resize(s.mids, len(slots)*d), resize(s.midRows, len(slots))
+	arena, rows := s.mids, s.midRows
 	for j := range rows {
 		rows[j] = arena[j*d : (j+1)*d : (j+1)*d]
 	}
@@ -749,14 +804,18 @@ func (s *search) selectTopK() []Candidate {
 		d := feature.ScaledDiff(a, b, s.scales) / sqrtD
 		return 1 / (1 + 10*d)
 	}
-	picked := make([]bool, n)
+	s.picked = resize(s.picked, int(n))
+	picked := s.picked
+	clear(picked)
 	// maxSim[i] tracks each unpicked candidate's similarity to the closest
 	// already-selected one; it is updated incrementally as candidates are
 	// selected, so each MMR round computes one new similarity per candidate
-	// instead of rescanning the whole selected set.
+	// instead of rescanning the whole selected set. The first selection
+	// sets every entry, so stale values from an earlier search never count.
 	var maxSim []float64
 	if lambda != 0 {
-		maxSim = make([]float64, n)
+		s.maxSim = resize(s.maxSim, int(n))
+		maxSim = s.maxSim
 	}
 	selected := make([]Candidate, 0, k)
 	var lastX []float64 // the vector selected last

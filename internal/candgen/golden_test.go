@@ -1,12 +1,16 @@
 package candgen
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"justintime/internal/constraints"
@@ -51,11 +55,12 @@ func hashOutput(h []byte, cands []Candidate, st Stats) []byte {
 	return h
 }
 
-// goldenMatrix runs Generate over forest and logistic models, continuous
-// and integer-valued schemas, several inputs, no / user / domain
-// constraint sets, λ ∈ {0, 0.5}, K ∈ {1, 8} and two seeds, all with the
-// given shrink round count, and returns the SHA-256 of all outputs in order.
-func goldenMatrix(t *testing.T, shrinkRounds int) string {
+// goldenMatrix runs gen over forest and logistic models, continuous and
+// integer-valued schemas of dimension 2 and 4, several inputs, no / user /
+// domain constraint sets, λ ∈ {0, 0.5}, K ∈ {1, 8} and two seeds, all with
+// the given shrink round count, and returns the SHA-256 of all outputs in
+// order.
+func goldenMatrix(t *testing.T, shrinkRounds int, gen func(Problem, Config) ([]Candidate, Stats, error)) string {
 	t.Helper()
 	mixed, err := feature.NewSchema(
 		feature.Field{Name: "a", Kind: feature.Continuous, Min: 0, Max: 100},
@@ -96,7 +101,7 @@ func goldenMatrix(t *testing.T, shrinkRounds int) string {
 									Schema: schema, Model: model, Threshold: 0.5,
 									Input: in, Constraints: set, Time: (si + ci) % 2,
 								}
-								cands, st, err := Generate(p, cfg)
+								cands, st, err := gen(p, cfg)
 								if err != nil {
 									t.Fatal(err)
 								}
@@ -151,7 +156,7 @@ func goldenMatrix(t *testing.T, shrinkRounds int) string {
 						cfg.ShrinkRounds = shrinkRounds
 						cfg.K = k
 						cfg.DiversityPenalty = lambda
-						cands, st, err := Generate(Problem{
+						cands, st, err := gen(Problem{
 							Schema: loan, Model: model, Threshold: 0.5, Input: in, Constraints: set,
 						}, cfg)
 						if err != nil {
@@ -168,12 +173,19 @@ func goldenMatrix(t *testing.T, shrinkRounds int) string {
 }
 
 // TestGoldenFingerprint pins Generate's output bit for bit, at 12 shrink
-// rounds and at the default count. The digests were captured on amd64;
-// architectures whose compilers fuse multiply-adds may round differently
-// and are skipped.
+// rounds and at the default count. Each matrix runs twice: once with a
+// fresh search per problem, and once through one Searcher shared by every
+// problem of both matrices, so scratch kept from an earlier search (another
+// dimension, K, λ, model or constraint set) must not change any output.
+// The digests were captured on amd64; architectures whose compilers fuse
+// multiply-adds may round differently and are skipped.
 func TestGoldenFingerprint(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("golden digest is pinned on amd64, running on %s", runtime.GOARCH)
+	}
+	var shared Searcher
+	sharedGen := func(p Problem, cfg Config) ([]Candidate, Stats, error) {
+		return shared.Generate(context.Background(), p, cfg)
 	}
 	for _, c := range []struct {
 		rounds int
@@ -182,8 +194,86 @@ func TestGoldenFingerprint(t *testing.T) {
 		{12, goldenDigest},
 		{DefaultConfig().ShrinkRounds, goldenDefaultDigest},
 	} {
-		if got := goldenMatrix(t, c.rounds); got != c.want {
+		if got := goldenMatrix(t, c.rounds, Generate); got != c.want {
 			t.Errorf("Generate output at %d shrink rounds changed:\n got  %s\n want %s", c.rounds, got, c.want)
+		}
+		if got := goldenMatrix(t, c.rounds, sharedGen); got != c.want {
+			t.Errorf("shared Searcher output at %d shrink rounds changed:\n got  %s\n want %s", c.rounds, got, c.want)
+		}
+	}
+}
+
+// TestConcurrentSearchersMatchFresh runs a mixed list of problems (both
+// model kinds, several inputs, with and without constraints, K 1 and 8)
+// on 4 goroutines, each with its own Searcher that starts from a cancelled
+// search, and requires every output to equal a fresh search's. The
+// goroutines share the models, schema and constraint sets, so the race
+// detector also checks that a search only reads them.
+func TestConcurrentSearchersMatchFresh(t *testing.T) {
+	schema := twoDSchema(t)
+	user := constraints.NewSet(constraints.MustParse("a <= old(a) + 15"))
+	var problems []Problem
+	var cfgs []Config
+	for _, model := range []mlmodel.Model{trainedForest(t), trainedLogistic(t)} {
+		for _, in := range [][]float64{{30, 30}, {20, 40}, {45, 10}} {
+			for _, set := range []*constraints.Set{nil, user} {
+				for _, k := range []int{1, 8} {
+					cfg := DefaultConfig()
+					cfg.K, cfg.Seed = k, int64(len(cfgs))
+					problems = append(problems, Problem{Schema: schema, Model: model, Threshold: 0.5, Input: in, Constraints: set})
+					cfgs = append(cfgs, cfg)
+				}
+			}
+		}
+	}
+	type output struct {
+		cands []Candidate
+		st    Stats
+	}
+	want := make([]output, len(problems))
+	for i, p := range problems {
+		cands, st, err := Generate(p, cfgs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = output{cands, st}
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	const workers = 4
+	got := make([][]output, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var sr Searcher
+			if _, _, err := sr.Generate(cancelled, problems[w], cfgs[w]); err == nil {
+				errs[w] = fmt.Errorf("a cancelled search returned no error")
+				return
+			}
+			got[w] = make([]output, len(problems))
+			for n := range problems {
+				i := (n + w*len(problems)/workers) % len(problems) // each worker its own order
+				cands, st, err := sr.Generate(context.Background(), problems[i], cfgs[i])
+				if err != nil {
+					errs[w] = err
+					return
+				}
+				got[w][i] = output{cands, st}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w := range got {
+		if errs[w] != nil {
+			t.Fatal(errs[w])
+		}
+		for i := range want {
+			if !reflect.DeepEqual(got[w][i], want[i]) {
+				t.Fatalf("worker %d, problem %d: Searcher output %+v, fresh %+v", w, i, got[w][i], want[i])
+			}
 		}
 	}
 }

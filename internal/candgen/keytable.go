@@ -26,8 +26,19 @@ type keyTable struct {
 	index  []int32
 }
 
-func newKeyTable(width int) *keyTable {
-	return &keyTable{width: width, index: make([]int32, 2*keyChunk)}
+// reset empties the table for keys of the given width. Chunks of the same
+// width are kept and overwritten by later inserts; the index keeps its size
+// and is cleared.
+func (t *keyTable) reset(width int) {
+	if width != t.width {
+		t.width, t.keys, t.hashes = width, nil, nil
+	}
+	t.n = 0
+	if t.index == nil {
+		t.index = make([]int32, 2*keyChunk)
+	} else {
+		clear(t.index)
+	}
 }
 
 // len returns the number of distinct keys.
@@ -57,7 +68,7 @@ func (t *keyTable) insert(key []byte) (slot int32, added bool) {
 		}
 	}
 	slot = int32(t.n)
-	if t.n%keyChunk == 0 {
+	if t.n/keyChunk == len(t.keys) {
 		t.keys = append(t.keys, make([]byte, keyChunk*t.width))
 		t.hashes = append(t.hashes, new([keyChunk]uint64))
 	}

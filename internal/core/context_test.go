@@ -95,7 +95,7 @@ func TestGeneratorFailureCancelsSiblings(t *testing.T) {
 	}
 	// Corrupt one model threshold? Simpler: an invalid per-t input cannot
 	// be produced through the public API, so instead break one model.
-	sys.models[1].Model = nil // GenerateContext rejects a nil model instantly
+	sys.models[1].Model = nil // the search rejects a nil model instantly
 	start := time.Now()
 	_, err = sys.NewSessionContext(context.Background(), rejectedProfile(t, sys), nil)
 	if err == nil {

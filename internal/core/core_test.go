@@ -1,7 +1,10 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"justintime/internal/candgen"
@@ -10,6 +13,7 @@ import (
 	"justintime/internal/drift"
 	"justintime/internal/feature"
 	"justintime/internal/mlmodel"
+	"justintime/internal/sqldb"
 )
 
 // testHistory converts a small synthetic loan dataset into drift eras.
@@ -213,40 +217,110 @@ func TestQuestionParameterValidation(t *testing.T) {
 	}
 }
 
-func TestSessionDeterministicAcrossWorkerCounts(t *testing.T) {
-	cfgSerial := testConfig()
-	cfgSerial.Workers = 1
-	cfgParallel := testConfig()
-	cfgParallel.Workers = 4
-	hist := testHistory(t, 4, 400)
-	sysA, err := NewSystem(cfgSerial, hist)
+// candidateRows returns every row of the session's candidates table in
+// stored order, every column included.
+func candidateRows(t *testing.T, sess *Session) [][]sqldb.Value {
+	t.Helper()
+	res, err := sess.SQL("SELECT * FROM candidates")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sysB, err := NewSystem(cfgParallel, hist)
-	if err != nil {
-		t.Fatal(err)
+	return res.Rows
+}
+
+// sameSession fails t unless got stores the same candidates as want, bit for
+// bit and in the same order, from searches with the same statistics.
+func sameSession(t *testing.T, label string, want, got *Session) {
+	t.Helper()
+	wr, gr := candidateRows(t, want), candidateRows(t, got)
+	if len(wr) == 0 {
+		t.Fatalf("%s: no candidates to compare", label)
 	}
-	profile := rejectedProfile(t, sysA)
-	a, err := sysA.NewSession(profile, nil)
-	if err != nil {
-		t.Fatal(err)
+	if len(wr) != len(gr) {
+		t.Fatalf("%s: %d candidate rows, want %d", label, len(gr), len(wr))
 	}
-	b, err := sysB.NewSession(profile, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qa, _ := a.SQL("SELECT time, diff, gap, p FROM candidates ORDER BY time, diff, p")
-	qb, _ := b.SQL("SELECT time, diff, gap, p FROM candidates ORDER BY time, diff, p")
-	if len(qa.Rows) != len(qb.Rows) {
-		t.Fatalf("row counts differ: %d vs %d", len(qa.Rows), len(qb.Rows))
-	}
-	for i := range qa.Rows {
-		for j := range qa.Rows[i] {
-			if qa.Rows[i][j].String() != qb.Rows[i][j].String() {
-				t.Fatalf("row %d col %d differs: %s vs %s", i, j, qa.Rows[i][j], qb.Rows[i][j])
+	for i := range wr {
+		for j := range wr[i] {
+			if wr[i][j] != gr[i][j] {
+				t.Fatalf("%s: row %d col %d is %s, want %s", label, i, j, gr[i][j], wr[i][j])
 			}
 		}
+	}
+	if ws, gs := want.GenStats(), got.GenStats(); !reflect.DeepEqual(ws, gs) {
+		t.Fatalf("%s: search stats %+v, want %+v", label, gs, ws)
+	}
+}
+
+// TestSessionDeterministicAcrossWorkerCounts creates the same sessions with
+// 1, 2 and 4 workers (and the default), without and with user constraints.
+// Every candidates column, X included, must match bit for bit: a worker
+// reuses one Searcher's scratch across the time points it runs, and which
+// worker ran which point must not show in the output.
+func TestSessionDeterministicAcrossWorkerCounts(t *testing.T) {
+	sys, err := NewSystem(testConfig(), testHistory(t, 4, 400))
+	if err != nil {
+		t.Fatal(err)
+	}
+	profile := rejectedProfile(t, sys)
+	user := constraints.NewSet(
+		constraints.MustParse("amount >= old(amount) * 0.8"),
+		constraints.MustParse("income <= old(income) * 1.6"),
+	)
+	for _, set := range []*constraints.Set{nil, user} {
+		var want *Session
+		for _, workers := range []int{1, 2, 4, 0} {
+			sys.cfg.Workers = workers
+			sess, err := sys.NewSession(profile, set)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = sess
+				continue
+			}
+			sameSession(t, fmt.Sprintf("workers=%d user=%v", workers, set != nil), want, sess)
+		}
+	}
+}
+
+// TestConcurrentSessionsMatchSequential creates sessions from 4 goroutines
+// on one System and requires each to equal the session created alone for
+// the same applicant: concurrent creations share the System but no search
+// scratch. Run it under -race.
+func TestConcurrentSessionsMatchSequential(t *testing.T) {
+	sys := testSystem(t)
+	base := rejectedProfile(t, sys)
+	menus := []*constraints.Set{nil, constraints.NewSet(constraints.MustParse("income <= old(income) * 1.4"))}
+	const n = 8
+	profiles := make([][]float64, n)
+	want := make([]*Session, n)
+	for i := range profiles {
+		profiles[i] = append([]float64(nil), base...)
+		profiles[i][2] += float64(1000 * i) // income: distinct applicants
+		sess, err := sys.NewSession(profiles[i], menus[i%len(menus)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = sess
+	}
+	got := make([]*Session, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < n; i += 4 {
+				got[i], errs[i] = sys.NewSession(profiles[i], menus[i%len(menus)])
+			}
+		}(g)
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		sameSession(t, fmt.Sprintf("applicant %d", i), want[i], got[i])
 	}
 }
 

@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"justintime/internal/candgen"
 	"justintime/internal/constraints"
@@ -24,7 +26,7 @@ type Session struct {
 
 // NewSession runs the temporal candidates generation phase of Section II-B
 // for one applicant: it computes the temporal inputs, runs the T+1
-// independent candidate generators (in parallel, bounded by Config.Workers)
+// independent candidate generators (on Config.Workers goroutines)
 // under the conjunction of domain and user constraints, and loads the
 // results into a fresh relational database.
 func (s *System) NewSession(profile []float64, user *constraints.Set) (*Session, error) {
@@ -58,17 +60,23 @@ func (s *System) NewSessionContext(ctx context.Context, profile []float64, user 
 	}
 
 	// Run the candidate generators; they are independent of each other
-	// (Section II-B) and can execute concurrently. The derived context
-	// lets the first failure cancel the sibling searches: their results
-	// would be discarded anyway, so they should stop burning CPU.
+	// (Section II-B) and can execute concurrently. Each worker owns one
+	// candgen.Searcher and pulls time points from a counter, so a worker
+	// that runs several searches reuses one search's scratch memory for the
+	// next; the scratch is dropped with the workers when the session is
+	// built. Seeds are per time point, so the output does not depend on
+	// which worker ran which point. The derived context lets the first
+	// failure cancel the sibling searches: their results would be discarded
+	// anyway, so they should stop burning CPU.
 	ctx, cancelSiblings := context.WithCancel(ctx)
 	defer cancelSiblings()
 	results := make([][]candgen.Candidate, s.cfg.T+1)
 	workers := s.cfg.Workers
-	if workers <= 0 {
-		workers = s.cfg.T + 1
+	if workers == 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	sem := make(chan struct{}, workers)
+	workers = min(workers, s.cfg.T+1)
+	var next atomic.Int32
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var firstErr error
@@ -80,34 +88,30 @@ func (s *System) NewSessionContext(ctx context.Context, profile []float64, user 
 		mu.Unlock()
 		cancelSiblings()
 	}
-	for t := 0; t <= s.cfg.T; t++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(t int) {
+		go func() {
 			defer wg.Done()
-			select {
-			case sem <- struct{}{}:
-			case <-ctx.Done():
-				fail(fmt.Errorf("core: session cancelled: %w", ctx.Err()))
-				return
+			var sr candgen.Searcher
+			for t := int(next.Add(1)) - 1; t <= s.cfg.T; t = int(next.Add(1)) - 1 {
+				cfg := s.cfg.CandGen
+				cfg.Seed = cfg.Seed*31 + int64(t) // deterministic, distinct per t
+				cands, st, err := sr.Generate(ctx, candgen.Problem{
+					Schema:      s.cfg.Schema,
+					Model:       s.models[t].Model,
+					Threshold:   s.models[t].Threshold,
+					Input:       inputs[t],
+					Constraints: merged,
+					Time:        t,
+				}, cfg)
+				if err != nil {
+					fail(fmt.Errorf("core: generator at t=%d: %w", t, err))
+					return
+				}
+				results[t] = cands
+				sess.stats[t] = st
 			}
-			defer func() { <-sem }()
-			cfg := s.cfg.CandGen
-			cfg.Seed = cfg.Seed*31 + int64(t) // deterministic, distinct per t
-			cands, st, err := candgen.GenerateContext(ctx, candgen.Problem{
-				Schema:      s.cfg.Schema,
-				Model:       s.models[t].Model,
-				Threshold:   s.models[t].Threshold,
-				Input:       inputs[t],
-				Constraints: merged,
-				Time:        t,
-			}, cfg)
-			if err != nil {
-				fail(fmt.Errorf("core: generator at t=%d: %w", t, err))
-				return
-			}
-			results[t] = cands
-			sess.stats[t] = st
-		}(t)
+		}()
 	}
 	wg.Wait()
 	if firstErr != nil {

@@ -45,8 +45,11 @@ type Config struct {
 	Domain *constraints.Set
 	// CandGen tunes the per-time-point candidate search.
 	CandGen candgen.Config
-	// Workers bounds the parallelism of the candidate generators; 0 means
-	// one goroutine per time point (they are independent, Section II-B).
+	// Workers is the number of goroutines that run a session's T+1
+	// candidate generators (they are independent, Section II-B); each runs
+	// its share of the time points one after another on one
+	// candgen.Searcher. 0 selects min(T+1, GOMAXPROCS), and more than T+1
+	// runs T+1.
 	Workers int
 	// BaseYear labels time point 0 in insights (e.g. 2018). Optional.
 	BaseYear int

@@ -2,6 +2,9 @@ package drift
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"justintime/internal/kernel"
 	"justintime/internal/mlmodel"
@@ -86,15 +89,34 @@ func (g KI) Generate(history []Era, horizon int) ([]TimedModel, error) {
 	for j := range trajs {
 		trajs[j] = make([]float64, H)
 	}
-	for s, e := range history {
-		m, err := mlmodel.TrainLogistic(eraX[s], e.Y, cfg)
+	// The per-era fits are independent and each writes only its own era's
+	// column of trajs, so they run on min(H, GOMAXPROCS) goroutines that
+	// pull eras from a counter.
+	errs := make([]error, H)
+	var next atomic.Int32
+	var wg sync.WaitGroup
+	for w := min(H, runtime.GOMAXPROCS(0)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for s := int(next.Add(1)) - 1; s < H; s = int(next.Add(1)) - 1 {
+				m, err := mlmodel.TrainLogistic(eraX[s], history[s].Y, cfg)
+				if err != nil {
+					errs[s] = err
+					continue
+				}
+				for j := 0; j < dim; j++ {
+					trajs[j][s] = m.W[j]
+				}
+				trajs[dim][s] = m.B
+			}
+		}()
+	}
+	wg.Wait()
+	for s, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("drift: ki era %d: %w", s, err)
 		}
-		for j := 0; j < dim; j++ {
-			trajs[j][s] = m.W[j]
-		}
-		trajs[dim][s] = m.B
 	}
 
 	// Fit one polynomial per coefficient over era index 0..H-1.

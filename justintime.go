@@ -76,7 +76,7 @@
 // while any number of readers query concurrently, which is how many
 // requests share one applicant session. Session creation is context-aware —
 // System.NewSessionContext threads its ctx into every candidate generator
-// (candgen.GenerateContext), and the beam search checks cancellation each
+// (candgen.Searcher.Generate), and the beam search checks cancellation each
 // iteration, so a disconnected client's workers exit instead of burning
 // CPU. internal/server holds sessions under crypto/rand capability IDs
 // with an idle TTL and an LRU-evicting cap, bounds the expert SQL endpoint

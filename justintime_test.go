@@ -1,6 +1,7 @@
 package justintime
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -166,5 +167,41 @@ func TestOracleGeneratorFacade(t *testing.T) {
 	}
 	if len(models) != 3 {
 		t.Fatalf("oracle models = %d", len(models))
+	}
+}
+
+// TestNewSessionAllocations bounds the bytes one session creation allocates
+// at jitd's defaults with perfbench's constraint menus, on 2 Ps, where two
+// workers each run two of the four time points' searches on one
+// candgen.Searcher. The budget is the measured 2.56 MB per creation on
+// go1.24/amd64 plus ~10%. Building every search's scratch afresh costs
+// about 3.96 MB and fails it.
+func TestNewSessionAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations of its own")
+	}
+	const budget = 2.8e6
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	sys := journeySystem(t).System
+	prefs := journeyPrefs()
+	profiles := RejectedProfiles()
+	create := func(i int) {
+		if _, err := sys.NewSession(profiles[i%len(profiles)], prefs[i%len(prefs)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	create(0)
+	// Every profile meets every menu once.
+	n := len(profiles) * len(prefs)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		create(i)
+	}
+	runtime.ReadMemStats(&after)
+	per := float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+	t.Logf("%.2f MB allocated per NewSession over %d creations", per/1e6, n)
+	if per > budget {
+		t.Errorf("%.2f MB allocated per NewSession, budget %.1f MB", per/1e6, budget/1e6)
 	}
 }

@@ -25,8 +25,8 @@ type LoanDemoConfig struct {
 	// Method selects the future-model generator: "edd", "ki", "last" or
 	// "pooled".
 	Method string
-	// Workers bounds candidate-generator parallelism (0 = one per time
-	// point).
+	// Workers bounds candidate-generator parallelism (0 = min(T+1,
+	// GOMAXPROCS)).
 	Workers int
 	// DomainConstraints are administrator rules applied to every user
 	// (constraint-language sources).
