@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"justintime/internal/constraints"
@@ -327,23 +328,29 @@ type search struct {
 	row, probe []float64
 
 	// Scratch that a Searcher keeps from one search to the next; each phase
-	// resizes and resets what it uses. The beam's: its dedup keys, the
-	// two move arenas it swaps, the scored copies, the next states with
-	// their ranks and order, and the states it keeps.
+	// resizes and resets what it uses. predictBatch's scores.
+	confs []float64
+	// The beam's: its dedup keys, the two move arenas it swaps, the scored
+	// copies, the next states with their ranks, the best ranks it keeps,
+	// and the states it keeps.
 	seen                        keyTable
 	moves, prevMoves, scoredBuf []float64
 	scored                      [][]float64
 	next, states                []beamState
-	ranks                       []float64
-	order                       []int
+	ranked, top                 []rankedMove
 	// shrinkPool's: the slots it walks, their original vectors, the
 	// bisection bounds, and the midpoint arena with its row views.
 	slots                   []int32
 	originals, lo, hi, mids []float64
 	midRows                 [][]float64
-	// selectTopK's.
-	picked []bool
-	maxSim []float64
+	// selectTopK's: per pool entry, whether it is picked, its score bound,
+	// its similarity to the closest selected vector and how many selected
+	// vectors that similarity covers; and the selected slots in order.
+	picked   []bool
+	bound    []float64
+	maxSim   []float64
+	covered  []int32
+	selSlots []int32
 }
 
 // resize returns buf with length n, reusing its array when it is large
@@ -374,10 +381,12 @@ func (s *search) consider(x []float64, iter int) (float64, bool) {
 }
 
 // predictBatch scores a whole move set with a single model call. Rows must
-// already be schema-clamped.
+// already be schema-clamped. The scores are valid until the next call.
 func (s *search) predictBatch(X [][]float64) []float64 {
 	s.stats.Evaluations += len(X)
-	return mlmodel.PredictBatch(s.p.Model, X)
+	s.confs = resize(s.confs, len(X))
+	mlmodel.PredictBatchInto(s.p.Model, s.confs, X)
+	return s.confs
 }
 
 // considerScored records x in the pool when it is a decision-altering
@@ -494,10 +503,10 @@ func (s *search) beam() error {
 	n := s.cfg.BeamWidth * s.movesPerState()
 	s.moves, s.prevMoves = resize(s.moves, n*d), resize(s.prevMoves, n*d)
 	s.scoredBuf, s.scored = resize(s.scoredBuf, n*d), resize(s.scored, n)
-	s.next, s.ranks, s.order = resize(s.next, n), resize(s.ranks, n), resize(s.order, n)
-	s.states = resize(s.states, s.cfg.BeamWidth)
+	s.next, s.ranked = resize(s.next, n), resize(s.ranked, n)
+	s.states, s.top = resize(s.states, s.cfg.BeamWidth), resize(s.top, s.cfg.BeamWidth)
 	moves, prevMoves, scoredBuf, scored := s.moves[:0], s.prevMoves[:0], s.scoredBuf[:0], s.scored[:0]
-	next, ranks, order := s.next[:0], s.ranks[:0], s.order[:0]
+	next, ranked := s.next[:0], s.ranked[:0]
 	beam := s.states[:1]
 	beam[0] = beamState{x: start, conf: s.p.Model.Predict(start)}
 	s.stats.Evaluations++
@@ -550,22 +559,17 @@ func (s *search) beam() error {
 		// Rank each state once (the comparator would otherwise recompute
 		// quality O(n log n) times): infeasible states climb by confidence;
 		// feasible states by quality plus a constant to dominate them.
-		ranks = ranks[:0]
-		order = order[:0]
+		ranked = ranked[:0]
 		for i, st := range next {
-			ranks = append(ranks, s.rank(st))
-			order = append(order, i)
+			ranked = append(ranked, rankedMove{r: s.rank(st), i: int32(i)})
 		}
-		sort.Slice(order, func(a, b int) bool { return ranks[order[a]] > ranks[order[b]] })
-		if len(order) > s.cfg.BeamWidth {
-			order = order[:s.cfg.BeamWidth]
-		}
+		cut := s.cutBeam(ranked)
 		beam = beam[:0]
-		for _, i := range order {
-			beam = append(beam, next[i])
+		for _, m := range cut {
+			beam = append(beam, next[m.i])
 		}
 		moves, prevMoves = prevMoves, moves
-		if top := ranks[order[0]]; top > bestObjective+1e-9 {
+		if top := cut[0].r; top > bestObjective+1e-9 {
 			bestObjective = top
 			sincImprove = 0
 		} else {
@@ -577,6 +581,76 @@ func (s *search) beam() error {
 		}
 	}
 	return nil
+}
+
+// rankedMove is one move's beam rank and its index in the iteration's moves.
+type rankedMove struct {
+	r float64
+	i int32
+}
+
+// cutBeam returns the BeamWidth best-ranked moves of ranked, best first, in
+// the order a full sort of ranked by descending rank gives. Only the kept
+// moves are ordered: an insertion select keeps the best BeamWidth in s.top,
+// and every rank it does not keep counts toward the best dropped rank. A
+// sort places equal ranks by its own pivoting, so when a NaN rank, a tie
+// between two kept moves, or a tie between the last kept move and the best
+// dropped one makes that placement part of the output, cutBeam sorts all of
+// ranked instead. Ties among dropped moves do not matter. The result
+// aliases s.top or ranked.
+func (s *search) cutBeam(ranked []rankedMove) []rankedMove {
+	w := s.cfg.BeamWidth
+	top := s.top[:0]
+	dropped := math.Inf(-1)
+	for _, m := range ranked {
+		if m.r != m.r {
+			return sortBeam(ranked, w)
+		}
+		if len(top) == w {
+			last := top[w-1].r
+			if m.r <= last {
+				dropped = max(dropped, m.r)
+				continue
+			}
+			dropped = max(dropped, last)
+			top = top[:w-1]
+		}
+		j := len(top)
+		top = append(top, m)
+		for j > 0 && top[j-1].r < m.r {
+			top[j] = top[j-1]
+			j--
+		}
+		top[j] = m
+	}
+	for j := 1; j < len(top); j++ {
+		if top[j-1].r == top[j].r {
+			return sortBeam(ranked, w)
+		}
+	}
+	if len(top) == w && dropped >= top[w-1].r {
+		return sortBeam(ranked, w)
+	}
+	return top
+}
+
+// sortBeam sorts ranked by descending rank and returns its first w moves.
+// The search's output, pinned by the golden digests, places equal ranks as
+// sort.Slice's pdqsort does. slices.SortFunc is generated from the same
+// pdqsort and reads cmp only as "cmp < 0", so with cmp < 0 exactly when
+// a.r > b.r it yields the same permutation, without sort.Slice's
+// reflection and allocations.
+func sortBeam(ranked []rankedMove, w int) []rankedMove {
+	slices.SortFunc(ranked, func(a, b rankedMove) int {
+		switch {
+		case a.r > b.r:
+			return -1
+		case a.r < b.r:
+			return 1
+		}
+		return 0
+	})
+	return ranked[:min(w, len(ranked))]
 }
 
 // rank orders beam states: infeasible states by raw confidence, feasible
@@ -788,10 +862,20 @@ func (s *search) ranksBefore(a, b int32) bool {
 }
 
 // selectTopK picks K pool candidates by maximal marginal relevance:
-// quality minus λ times similarity to the already-selected set. Each round
-// takes an argmax over the unpicked entries with ties broken by
-// ranksBefore, so it picks exactly what a scan of the rank-sorted pool
-// would, without sorting the pool.
+// quality minus λ times the similarity to the closest already-selected
+// candidate (quality alone for the first pick). Each round picks what a scan
+// of the unpicked entries in slot order picks: the highest score, ties
+// broken by ranksBefore, and the first unpicked entry when its score is NaN
+// (a NaN score never displaces, and nothing displaces one).
+//
+// The scan is lazy and exact. bound[i] holds entry i's score as of its last
+// refresh, which is at least its current score: maxSim only grows as more
+// candidates are selected, and rounding is monotone. A round starts from the
+// first unpicked entry and the previous round's runner-up, both refreshed,
+// and skips every entry whose bound is below the best score so far; only the
+// rest are refreshed, against the vectors selected since their last refresh.
+// A skipped entry scores strictly below an entry already seen, so it cannot
+// win the round, and the skip needs no ordering of the pool.
 func (s *search) selectTopK() []Candidate {
 	n := int32(s.pool.len())
 	k, lambda := s.cfg.K, s.cfg.DiversityPenalty
@@ -799,56 +883,98 @@ func (s *search) selectTopK() []Candidate {
 		// The whole pool is returned, best-ranked first.
 		k, lambda = int(n), 0
 	}
-	sqrtD := math.Sqrt(float64(s.p.Schema.Dim()))
-	similarity := func(a, b []float64) float64 {
-		d := feature.ScaledDiff(a, b, s.scales) / sqrtD
-		return 1 / (1 + 10*d)
-	}
-	s.picked = resize(s.picked, int(n))
-	picked := s.picked
+	s.picked, s.bound = resize(s.picked, int(n)), resize(s.bound, int(n))
+	picked, bound := s.picked, s.bound
 	clear(picked)
-	// maxSim[i] tracks each unpicked candidate's similarity to the closest
-	// already-selected one; it is updated incrementally as candidates are
-	// selected, so each MMR round computes one new similarity per candidate
-	// instead of rescanning the whole selected set. The first selection
-	// sets every entry, so stale values from an earlier search never count.
-	var maxSim []float64
-	if lambda != 0 {
-		s.maxSim = resize(s.maxSim, int(n))
-		maxSim = s.maxSim
+	for i := range bound {
+		bound[i] = s.pool.entry(int32(i)).q
 	}
+	if lambda != 0 {
+		// Every entry starts with no selected vector covered, so values left
+		// by an earlier search are never read.
+		s.maxSim, s.covered = resize(s.maxSim, int(n)), resize(s.covered, int(n))
+		clear(s.covered)
+	}
+	sel := s.selSlots[:0]
 	selected := make([]Candidate, 0, k)
-	var lastX []float64 // the vector selected last
+	first, runner := int32(0), int32(-1)
 	for len(selected) < k {
-		best, bestScore := int32(-1), 0.0
-		for i := int32(0); i < n; i++ {
-			if picked[i] {
-				continue
-			}
-			q := s.pool.entry(i).q
-			score := q
-			if lambda != 0 && lastX != nil {
-				if sim := similarity(s.pool.vec(i), lastX); len(selected) == 1 || sim > maxSim[i] {
-					maxSim[i] = sim
-				}
-				score = (1-lambda)*q - lambda*maxSim[i]
-			}
-			if best < 0 || score > bestScore || score == bestScore && s.ranksBefore(i, best) {
+		for picked[first] {
+			first++
+		}
+		// The round starts from the first unpicked entry, as a scan in slot
+		// order does; when its score is NaN, nothing below displaces it.
+		best, bestScore := first, s.mmrScore(first, sel, lambda)
+		seed := runner
+		runner = -1
+		var runnerScore float64
+		offer := func(i int32, score float64) {
+			if score > bestScore || score == bestScore && s.ranksBefore(i, best) {
+				runner, runnerScore = best, bestScore
 				best, bestScore = i, score
+			} else if runner < 0 || score > runnerScore {
+				runner, runnerScore = i, score
 			}
 		}
+		if seed >= 0 && seed != first {
+			offer(seed, s.mmrScore(seed, sel, lambda))
+		}
+		for i := first + 1; i < n; i++ {
+			if bound[i] < bestScore || picked[i] || i == seed {
+				continue
+			}
+			offer(i, s.mmrScore(i, sel, lambda))
+		}
 		picked[best] = true
-		lastX = s.pool.vec(best)
+		sel = append(sel, best)
+		if len(sel) == 1 && lambda != 0 {
+			// From the second pick on, an entry never refreshed scores at
+			// most (1-λ)q.
+			for i := range bound {
+				bound[i] = (1 - lambda) * s.pool.entry(int32(i)).q
+			}
+		}
+		x := s.pool.vec(best)
 		e := s.pool.entry(best)
 		// The pool's vectors share arena chunks; hand out copies so the
 		// caller does not pin them.
 		selected = append(selected, Candidate{
-			X: feature.Clone(lastX), Diff: e.diff, Gap: e.gap, Confidence: e.conf, q: e.q,
+			X: feature.Clone(x), Diff: e.diff, Gap: e.gap, Confidence: e.conf, q: e.q,
 		})
 	}
+	s.selSlots = sel
 	if lambda != 0 {
 		// Present best-quality first.
 		sort.Slice(selected, func(a, b int) bool { return selected[a].q > selected[b].q })
 	}
 	return selected
+}
+
+// mmrScore returns unpicked entry i's MMR score against the selected slots
+// sel, as bound[i]. With λ = 0 or nothing selected yet, that is the quality
+// bound[i] already holds. Otherwise maxSim[i] is first brought up to date
+// against the slots selected since its last refresh, in selection order,
+// the first similarity setting it and a later one replacing it only when
+// strictly greater.
+func (s *search) mmrScore(i int32, sel []int32, lambda float64) float64 {
+	if lambda == 0 || len(sel) == 0 {
+		return s.bound[i]
+	}
+	if c := int(s.covered[i]); c < len(sel) {
+		x, m := s.pool.vec(i), s.maxSim[i]
+		for j := c; j < len(sel); j++ {
+			if sim := s.similarity(x, s.pool.vec(sel[j])); j == 0 || sim > m {
+				m = sim
+			}
+		}
+		s.maxSim[i], s.covered[i] = m, int32(len(sel))
+		s.bound[i] = (1-lambda)*s.pool.entry(i).q - lambda*m
+	}
+	return s.bound[i]
+}
+
+// similarity maps the scaled distance between a and b to (0, 1].
+func (s *search) similarity(a, b []float64) float64 {
+	d := feature.ScaledDiff(a, b, s.scales) / math.Sqrt(float64(len(a)))
+	return 1 / (1 + 10*d)
 }

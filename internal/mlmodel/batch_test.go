@@ -19,7 +19,8 @@ func randomRows(rng *rand.Rand, n, dim int) [][]float64 {
 }
 
 // assertBatchMatches checks PredictBatch against per-row Predict within tol
-// (tol 0 demands bit-identical results).
+// (tol 0 demands bit-identical results), and PredictBatchInto against
+// PredictBatch bit for bit, writing over a buffer full of stale values.
 func assertBatchMatches(t *testing.T, m Model, X [][]float64, tol float64) {
 	t.Helper()
 	got := PredictBatch(m, X)
@@ -30,6 +31,16 @@ func assertBatchMatches(t *testing.T, m Model, X [][]float64, tol float64) {
 		want := m.Predict(x)
 		if diff := math.Abs(got[i] - want); diff > tol {
 			t.Fatalf("row %d: PredictBatch=%v Predict=%v (|diff|=%g > %g)", i, got[i], want, diff, tol)
+		}
+	}
+	into := make([]float64, len(X))
+	for i := range into {
+		into[i] = 0.25
+	}
+	PredictBatchInto(m, into, X)
+	for i := range got {
+		if math.Float64bits(into[i]) != math.Float64bits(got[i]) {
+			t.Fatalf("row %d: PredictBatchInto=%v PredictBatch=%v", i, into[i], got[i])
 		}
 	}
 }
@@ -79,7 +90,11 @@ func TestLogisticPredictBatchMatchesPredict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertBatchMatches(t, m, randomRows(rand.New(rand.NewSource(9)), 300, 5), 1e-12)
+	assertBatchMatches(t, m, randomRows(rand.New(rand.NewSource(9)), 300, 5), 0)
+	x := randomRows(rand.New(rand.NewSource(10)), 1, 5)[0]
+	if allocs := testing.AllocsPerRun(20, func() { m.Predict(x) }); allocs != 0 {
+		t.Fatalf("Logistic.Predict allocates %.0f times per call", allocs)
+	}
 }
 
 func TestMappedPredictBatchMatchesPredict(t *testing.T) {
@@ -111,6 +126,36 @@ func (plainModel) Name() string                { return "plain" }
 
 func TestPredictBatchFallbackForNonBatchModels(t *testing.T) {
 	assertBatchMatches(t, plainModel{}, randomRows(rand.New(rand.NewSource(13)), 50, 2), 0)
+}
+
+// batchOnlyModel implements PredictBatch but not PredictBatchInto, as a
+// decorator that counts model work does, and counts its batch calls.
+type batchOnlyModel struct {
+	Model
+	calls, rows int
+}
+
+func (m *batchOnlyModel) PredictBatch(X [][]float64) []float64 {
+	m.calls++
+	m.rows += len(X)
+	return PredictBatch(m.Model, X)
+}
+
+// TestPredictBatchIntoFallsBackToPredictBatch requires PredictBatchInto to
+// score a model without a native into-path through its PredictBatch, once
+// per call with every row.
+func TestPredictBatchIntoFallsBackToPredictBatch(t *testing.T) {
+	X, y := trainedBatchData(t, 17)
+	forest, err := TrainForest(X, y, ForestConfig{Trees: 5, MaxDepth: 5, MinLeaf: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &batchOnlyModel{Model: forest}
+	rows := randomRows(rand.New(rand.NewSource(18)), 40, 5)
+	assertBatchMatches(t, m, rows, 0)
+	if m.calls != 2 || m.rows != 2*len(rows) {
+		t.Fatalf("PredictBatch saw %d calls and %d rows, want 2 and %d", m.calls, m.rows, 2*len(rows))
+	}
 }
 
 func TestPredictBatchEmptyInput(t *testing.T) {

@@ -51,6 +51,8 @@ type Forest struct {
 	// workers is the resolved ForestConfig.Workers, reused by PredictBatch
 	// to shard large batches across goroutines.
 	workers int
+	// thresholds is what Thresholds returns, built once by TrainForest.
+	thresholds map[int][]float64
 }
 
 // TrainForest fits a random forest on (X, y). Trees are trained in parallel
@@ -124,6 +126,20 @@ func TrainForest(X [][]float64, y []bool, cfg ForestConfig) (*Forest, error) {
 	if firstErr != nil {
 		return nil, firstErr
 	}
+	f.thresholds = make(map[int][]float64)
+	for _, t := range f.trees {
+		t.Thresholds(f.thresholds)
+	}
+	for k, vs := range f.thresholds {
+		sort.Float64s(vs)
+		out := vs[:0]
+		for i, v := range vs {
+			if i == 0 || v != vs[i-1] {
+				out = append(out, v)
+			}
+		}
+		f.thresholds[k] = out
+	}
 	return f, nil
 }
 
@@ -140,20 +156,28 @@ func (f *Forest) Predict(x []float64) float64 {
 // before PredictBatch fans out; below that the spawn cost dominates.
 const batchShardMin = 256
 
-// PredictBatch implements BatchModel: trees-outer, rows-inner over each
-// tree's flattened node layout, so every tree's node arrays stay hot in
-// cache for the whole batch. Large batches are sharded by row across the
-// forest's configured workers. Results are bit-identical to per-row
-// Predict: each row sums its leaf probabilities in ensemble order.
+// PredictBatch implements BatchModel.
 func (f *Forest) PredictBatch(X [][]float64) []float64 {
 	out := make([]float64, len(X))
+	f.PredictBatchInto(out, X)
+	return out
+}
+
+// PredictBatchInto writes Predict(X[i]) to dst[i] for every row:
+// trees-outer, rows-inner over each tree's flattened node layout, so every
+// tree's node arrays stay hot in cache for the whole batch. Large batches
+// are sharded by row across the forest's configured workers. Results are
+// bit-identical to per-row Predict: each row sums its leaf probabilities in
+// ensemble order.
+func (f *Forest) PredictBatchInto(dst []float64, X [][]float64) {
+	out := dst[:len(X)]
 	shards := f.workers
 	if max := len(X) / batchShardMin; shards > max {
 		shards = max
 	}
 	if shards <= 1 {
 		f.predictRange(X, out)
-		return out
+		return
 	}
 	chunk := (len(X) + shards - 1) / shards
 	var wg sync.WaitGroup
@@ -169,12 +193,12 @@ func (f *Forest) PredictBatch(X [][]float64) []float64 {
 		}(lo, hi)
 	}
 	wg.Wait()
-	return out
 }
 
-// predictRange accumulates every tree's leaf probabilities into out and
-// normalizes by the ensemble size.
+// predictRange sums every tree's leaf probabilities into out, from zero and
+// in ensemble order as Predict does, and normalizes by the ensemble size.
 func (f *Forest) predictRange(X [][]float64, out []float64) {
+	clear(out)
 	for _, t := range f.trees {
 		t.predictBatchInto(X, out, true)
 	}
@@ -195,21 +219,7 @@ func (f *Forest) TreeCount() int { return len(f.trees) }
 
 // Thresholds returns, per feature, the sorted deduplicated split thresholds
 // used anywhere in the ensemble. The candidate generator's model-dependent
-// heuristic proposes moves that cross these values.
-func (f *Forest) Thresholds() map[int][]float64 {
-	m := make(map[int][]float64)
-	for _, t := range f.trees {
-		t.Thresholds(m)
-	}
-	for k, vs := range m {
-		sort.Float64s(vs)
-		out := vs[:0]
-		for i, v := range vs {
-			if i == 0 || v != vs[i-1] {
-				out = append(out, v)
-			}
-		}
-		m[k] = out
-	}
-	return m
-}
+// heuristic proposes moves that cross these values. The map is built once
+// at training and every call returns the same one: it is read-only, and a
+// caller must not modify the map or its slices.
+func (f *Forest) Thresholds() map[int][]float64 { return f.thresholds }

@@ -1,6 +1,8 @@
 package mlmodel
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -70,6 +72,20 @@ func TestForestThresholdsSortedDeduped(t *testing.T) {
 				t.Fatalf("feature %d thresholds not strictly increasing: %v", feat, vs)
 			}
 		}
+	}
+	// Every split of every tree is in the map, and the map is the one built
+	// at training: later calls return it again.
+	for _, tree := range f.trees {
+		for feat, vs := range tree.Thresholds(nil) {
+			for _, v := range vs {
+				if i := sort.SearchFloat64s(thr[feat], v); i == len(thr[feat]) || thr[feat][i] != v {
+					t.Fatalf("feature %d split %g missing from %v", feat, v, thr[feat])
+				}
+			}
+		}
+	}
+	if reflect.ValueOf(f.Thresholds()).Pointer() != reflect.ValueOf(thr).Pointer() {
+		t.Fatal("Thresholds built a new map on a later call")
 	}
 }
 

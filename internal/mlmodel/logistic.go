@@ -169,31 +169,34 @@ func NewLogisticFromWeights(w []float64, b float64, scaler *Scaler) (*Logistic, 
 	return &Logistic{W: cp, B: b, scaler: scaler}, nil
 }
 
-// Predict returns sigmoid(w·z + b) for the standardized input z.
+// Predict returns sigmoid(w·z + b) for the standardized input z. Each
+// coordinate is standardized as Scaler.Transform does and summed in the
+// order dot sums, without materializing z, so Predict allocates nothing
+// and matches PredictBatch bit for bit.
 func (m *Logistic) Predict(x []float64) float64 {
-	z := m.scaler.Transform(x)
-	return sigmoid(dot(m.W, z) + m.B)
+	if len(x) != len(m.W) {
+		panic(fmt.Sprintf("mlmodel: logistic input dim %d, want %d", len(x), len(m.W)))
+	}
+	mean, std := m.scaler.Mean, m.scaler.Std
+	var s float64
+	for j, v := range x {
+		s += m.W[j] * ((v - mean[j]) / std[j])
+	}
+	return sigmoid(s + m.B)
 }
 
-// PredictBatch implements BatchModel: the whole batch is standardized and
-// scored through one reused scratch vector, eliminating the per-row
-// Transform allocation that dominates per-row Predict. The per-element
-// operations and their order match Predict exactly, so results are
-// bit-identical.
+// PredictBatch implements BatchModel.
 func (m *Logistic) PredictBatch(X [][]float64) []float64 {
 	out := make([]float64, len(X))
-	mean, std := m.scaler.Mean, m.scaler.Std
-	z := make([]float64, len(m.W))
-	for i, x := range X {
-		if len(x) != len(m.W) {
-			panic(fmt.Sprintf("mlmodel: logistic input dim %d, want %d", len(x), len(m.W)))
-		}
-		for j, v := range x {
-			z[j] = (v - mean[j]) / std[j]
-		}
-		out[i] = sigmoid(dot(m.W, z) + m.B)
-	}
+	m.PredictBatchInto(out, X)
 	return out
+}
+
+// PredictBatchInto writes Predict(X[i]) to dst[i] for every row.
+func (m *Logistic) PredictBatchInto(dst []float64, X [][]float64) {
+	for i, x := range X {
+		dst[i] = m.Predict(x)
+	}
 }
 
 // Name implements Model.

@@ -41,6 +41,28 @@ func PredictBatch(m Model, X [][]float64) []float64 {
 	return out
 }
 
+// batchIntoModel is implemented by models that score a batch into caller
+// memory; the built-in models all do.
+type batchIntoModel interface {
+	PredictBatchInto(dst []float64, X [][]float64)
+}
+
+// PredictBatchInto writes the positive-class probability of every row of X
+// to dst, which must have len(X) elements. A model with a native path
+// writes dst directly; any other model is scored through PredictBatch and
+// the result copied, so a wrapper that only implements PredictBatch still
+// sees every call and every row.
+func PredictBatchInto(m Model, dst []float64, X [][]float64) {
+	if len(dst) != len(X) {
+		panic(fmt.Sprintf("mlmodel: PredictBatchInto: %d outputs for %d rows", len(dst), len(X)))
+	}
+	if bm, ok := m.(batchIntoModel); ok {
+		bm.PredictBatchInto(dst, X)
+		return
+	}
+	copy(dst, PredictBatch(m, X))
+}
+
 // Classify applies the model threshold delta of Definition II.3: x is
 // classified positively iff M(x) > delta.
 func Classify(m Model, x []float64, delta float64) bool {
@@ -60,10 +82,15 @@ func (c ConstantModel) Predict([]float64) float64 { return c.P }
 // PredictBatch implements BatchModel.
 func (c ConstantModel) PredictBatch(X [][]float64) []float64 {
 	out := make([]float64, len(X))
-	for i := range out {
-		out[i] = c.P
-	}
+	c.PredictBatchInto(out, X)
 	return out
+}
+
+// PredictBatchInto writes the constant probability to dst[:len(X)].
+func (c ConstantModel) PredictBatchInto(dst []float64, X [][]float64) {
+	for i := range X {
+		dst[i] = c.P
+	}
 }
 
 // Name implements Model.

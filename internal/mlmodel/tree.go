@@ -222,7 +222,7 @@ func (t *Tree) PredictBatch(X [][]float64) []float64 {
 
 // predictBatchInto writes (add=false) or accumulates (add=true) the leaf
 // probability of every row into out. Forests accumulate per-tree sums in
-// place so a whole ensemble batch needs exactly one output allocation.
+// place, in the caller's output.
 func (t *Tree) predictBatchInto(X [][]float64, out []float64, add bool) {
 	feature, threshold, left, right, prob := t.feature, t.threshold, t.left, t.right, t.prob
 	for r, x := range X {
