@@ -10,7 +10,7 @@ import (
 	"testing"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the EXPLAIN golden files under testdata/explain")
+var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata")
 
 // explainFixture is a deterministic session-shaped database carrying every
 // index shape the planner knows, so each golden case demonstrates one plan.
