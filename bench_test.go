@@ -259,7 +259,7 @@ func BenchmarkDiverseTopK(b *testing.B) {
 					Model:     tm.Model,
 					Threshold: tm.Threshold,
 					Input:     RejectedProfiles()[i%5],
-				}, candgen.Config{K: 6, BeamWidth: 12, MaxIters: 20, Patience: 3, DiversityPenalty: lambda})
+				}, candgen.Config{K: 6, BeamWidth: 12, MaxIters: 20, Patience: 3, DiversityPenalty: lambda, ShrinkRounds: 12})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -52,7 +52,7 @@ func runE5(quick bool) error {
 				Model:     fam.model.Model,
 				Threshold: fam.model.Threshold,
 				Input:     profile,
-			}, candgen.Config{K: 8, BeamWidth: 16, MaxIters: 30, Patience: 3, DiversityPenalty: 0.5, Seed: int64(i)})
+			}, candgen.Config{K: 8, BeamWidth: 16, MaxIters: 30, Patience: 3, DiversityPenalty: 0.5, ShrinkRounds: 12, Seed: int64(i)})
 			if err != nil {
 				return err
 			}

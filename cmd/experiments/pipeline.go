@@ -209,7 +209,7 @@ func runE7(quick bool) error {
 				Model:     models[0].Model,
 				Threshold: models[0].Threshold,
 				Input:     profile,
-			}, candgen.Config{K: k, BeamWidth: 2 * k, MaxIters: 20, Patience: 3, DiversityPenalty: lambda, Seed: 3})
+			}, candgen.Config{K: k, BeamWidth: 2 * k, MaxIters: 20, Patience: 3, DiversityPenalty: lambda, ShrinkRounds: 12, Seed: 3})
 			if err != nil {
 				return a, err
 			}

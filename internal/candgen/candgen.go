@@ -70,7 +70,8 @@ type Config struct {
 	// Weights scalarizes the objectives when ranking feasible candidates.
 	Weights Weights
 	// ShrinkRounds is the number of bisection rounds the shrink phase runs
-	// on each feasible candidate's segment back to the input; 0 selects 12.
+	// on each feasible candidate's segment back to the input; 0 selects 3,
+	// DefaultConfig's count.
 	ShrinkRounds int
 	// Seed drives random coordinate moves.
 	Seed int64
@@ -106,7 +107,7 @@ func (c Config) withDefaults() Config {
 		c.Patience = 3
 	}
 	if c.ShrinkRounds == 0 {
-		c.ShrinkRounds = 12
+		c.ShrinkRounds = 3
 	}
 	if c.DiversityPenalty < 0 {
 		c.DiversityPenalty = 0.5

@@ -19,7 +19,7 @@ import (
 )
 
 // goldenDigest is the SHA-256 of Generate's full output over
-// goldenMatrix with 12 shrink rounds, what a zero ShrinkRounds selects.
+// goldenMatrix with 12 shrink rounds.
 // Any change to the search must leave it unchanged: the candidates, their
 // order, every float bit and every Stats field are part of the digest.
 const goldenDigest = "fd975df7dfb5e3f7e3690e9020e656024591d6a461a6ec00233144cbefa5d7a2"

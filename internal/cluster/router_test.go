@@ -45,7 +45,7 @@ func demoSystem(t testing.TB) *core.System {
 			T:          2,
 			DeltaYears: 1,
 			Generator:  drift.Last{Trainer: drift.ForestTrainer(mlmodel.ForestConfig{Trees: 12, MaxDepth: 6, MinLeaf: 3, Seed: 7})},
-			CandGen:    candgen.Config{K: 5, BeamWidth: 10, MaxIters: 12, Patience: 3, DiversityPenalty: 0.5},
+			CandGen:    candgen.Config{K: 5, BeamWidth: 10, MaxIters: 12, Patience: 3, DiversityPenalty: 0.5, ShrinkRounds: 12},
 			BaseYear:   2010,
 		}, hist)
 	})

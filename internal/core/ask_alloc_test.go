@@ -16,12 +16,12 @@ func TestAskAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	budgets := map[QuestionKind]float64{
-		QNoModification:    41,   // measured 37
-		QMinimalFeatures:   42,   // measured 38
-		QDominantFeature:   1125, // measured 1022
-		QMinimalOverall:    206,  // measured 187
-		QMaximalConfidence: 38,   // measured 34
-		QTurningPoint:      780,  // measured 709
+		QNoModification:    40,  // measured 36
+		QMinimalFeatures:   42,  // measured 39
+		QDominantFeature:   728, // measured 662
+		QMinimalOverall:    128, // measured 116
+		QMaximalConfidence: 38,  // measured 35
+		QTurningPoint:      428, // measured 389
 	}
 	for _, q := range Questions("income", 0.7) {
 		got := testing.AllocsPerRun(20, func() {
@@ -34,7 +34,7 @@ func TestAskAllocations(t *testing.T) {
 			t.Errorf("%s: %.0f allocs per ask, budget %.0f", q.Kind, got, budget)
 		}
 	}
-	const planBudget = 122 // measured 111
+	const planBudget = 122 // measured 115
 	got := testing.AllocsPerRun(20, func() {
 		if _, err := sess.Plan(); err != nil {
 			t.Fatal(err)

@@ -14,7 +14,7 @@ import (
 // cancellation lands while the beam searches are still running.
 func slowConfig() Config {
 	cfg := testConfig()
-	cfg.CandGen = candgen.Config{K: 12, BeamWidth: 48, MaxIters: 4000, Patience: 4000, DiversityPenalty: 0.5, Seed: 9}
+	cfg.CandGen = candgen.Config{K: 12, BeamWidth: 48, MaxIters: 4000, Patience: 4000, DiversityPenalty: 0.5, ShrinkRounds: 12, Seed: 9}
 	return cfg
 }
 

@@ -36,7 +36,7 @@ func testConfig() Config {
 		T:          3,
 		DeltaYears: 1,
 		Generator:  drift.Last{Trainer: drift.ForestTrainer(mlmodel.ForestConfig{Trees: 15, MaxDepth: 7, MinLeaf: 3, Seed: 4})},
-		CandGen:    candgen.Config{K: 6, BeamWidth: 12, MaxIters: 15, Patience: 3, DiversityPenalty: 0.5, Seed: 9},
+		CandGen:    candgen.Config{K: 6, BeamWidth: 12, MaxIters: 15, Patience: 3, DiversityPenalty: 0.5, ShrinkRounds: 12, Seed: 9},
 		BaseYear:   2018,
 	}
 }

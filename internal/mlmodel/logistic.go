@@ -209,8 +209,7 @@ func (m *Logistic) Scaler() *Scaler { return m.scaler }
 // generator uses it as the model-dependent move direction for logistic
 // models.
 func (m *Logistic) Gradient(x []float64) []float64 {
-	z := m.scaler.Transform(x)
-	p := sigmoid(dot(m.W, z) + m.B)
+	p := m.Predict(x)
 	g := make([]float64, len(m.W))
 	for j := range g {
 		// chain rule through standardization: dz_j/dx_j = 1/std_j

@@ -479,6 +479,11 @@ func (db *DB) execInsert(s *InsertStmt, ex *executor) (int, error) {
 		}
 		return inserted, nil
 	}
+	for _, exprRow := range s.Rows {
+		for _, e := range exprRow {
+			ex.bindExpr(e, nil)
+		}
+	}
 	inserted := 0
 	for _, exprRow := range s.Rows {
 		if len(exprRow) != len(targets) {
@@ -514,12 +519,11 @@ func (db *DB) execDelete(s *DeleteStmt, ex *executor) (int, error) {
 	// (compacting in place would duplicate already-shifted rows).
 	kept := make([][]Value, 0, t.store.Len())
 	deleted := 0
+	lv := ex.bindTarget(t, s.Where)
 	err := t.store.Scan(func(_ int, row []Value) error {
 		keep := true
 		if s.Where != nil {
-			scope := newScope(nil)
-			scope.push(relationOf(t), row)
-			v, err := ex.eval(s.Where, scope)
+			v, err := ex.eval(s.Where, newRowScope(nil, lv, row))
 			if err != nil {
 				return err
 			}
@@ -568,9 +572,9 @@ func (db *DB) execUpdate(s *UpdateStmt, ex *executor) (int, error) {
 		vals []Value
 	}
 	var writes []pending
+	lv := ex.bindTarget(t, append([]Expr{s.Where}, s.Exprs...)...)
 	err := t.store.Scan(func(ri int, row []Value) error {
-		scope := newScope(nil)
-		scope.push(relationOf(t), row)
+		scope := newRowScope(nil, lv, row)
 		if s.Where != nil {
 			v, err := ex.eval(s.Where, scope)
 			if err != nil {

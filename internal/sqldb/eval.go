@@ -21,37 +21,40 @@ func relationOf(t *Table) relation {
 	return relation{alias: t.Name, cols: t.columnNames(), colIdx: t.colIdx}
 }
 
-func relationFromResult(alias string, res *Result) relation {
-	idx := make(map[string]int, len(res.Columns))
-	for i, c := range res.Columns {
+// newRelation names the columns of a derived table; a duplicated name
+// refers to its first column.
+func newRelation(alias string, cols []string) relation {
+	idx := make(map[string]int, len(cols))
+	for i, c := range cols {
 		if _, dup := idx[c]; !dup {
 			idx[c] = i
 		}
 	}
-	return relation{alias: alias, cols: res.Columns, colIdx: idx}
+	return relation{alias: alias, cols: cols, colIdx: idx}
 }
 
-// scope is the name-resolution environment of one query level. Column
-// references resolve against the scope's relations first, then its
-// select-list aliases, then the parent scope (enabling correlated
-// subqueries, including references to outer select aliases as in the
-// paper's Fig. 2 Q3).
+// scope holds the values one query level is evaluating: a row of each of its
+// FROM relations, and while it projects a group, the group's aggregates.
+// Names are not looked up here: the binder has already located each one as
+// a slot of some enclosing level's scope (see bind.go).
 type scope struct {
-	parent    *scope
-	rels      []relation
-	rows      [][]Value
-	aliasExpr map[string]Expr
-	aliasBusy map[string]bool
-	aggValues map[*FuncCall]Value
+	parent *scope
+	lvl    *level
+	rows   [][]Value  // by FROM relation; a prefix while joining
+	aggs   []Value    // by lvl.aggs index; nil outside grouped output
+	busy   []bool     // by select item: its alias expression is evaluating
+	one    [1][]Value // backs rows for a one-relation level (newRowScope)
 }
 
-func newScope(parent *scope) *scope {
-	return &scope{parent: parent}
+func newScope(parent *scope, lvl *level, rows [][]Value) *scope {
+	return &scope{parent: parent, lvl: lvl, rows: rows}
 }
 
-func (s *scope) push(rel relation, row []Value) {
-	s.rels = append(s.rels, rel)
-	s.rows = append(s.rows, row)
+// newRowScope is newScope for a level that reads one relation.
+func newRowScope(parent *scope, lvl *level, row []Value) *scope {
+	sc := &scope{parent: parent, lvl: lvl, one: [1][]Value{row}}
+	sc.rows = sc.one[:]
+	return sc
 }
 
 // isTrue reports whether the three-valued result v is TRUE.
@@ -72,7 +75,9 @@ func not3(v Value) Value {
 }
 
 // executor evaluates expressions and runs SELECT plans against a DB whose
-// lock is already held by the caller. params holds the positional arguments
+// lock is already held by the caller. It binds each statement's names when
+// the statement starts (see bind.go) and keeps the bindings for this
+// execution only. params holds the positional arguments
 // bound to `?` placeholders for this execution. trace, when non-nil,
 // records every plan decision for EXPLAIN. capRows > 0 bounds the TOP-LEVEL
 // statement's output to that many rows (see Stmt.QueryCapped); execSelect
@@ -93,10 +98,17 @@ type executor struct {
 	// attribution costs no allocation (ptrack = &ptrackBuf).
 	ptrackBuf pager.Tracker
 
-	// memo caches expression-subquery results for this execution (see
-	// memo.go). noMemo runs every subquery directly; only tests set it, to
-	// diff memoised execution against direct execution.
-	memo   map[*SelectStmt]*subqueryMemo
+	// levels, refs and aggs are this execution's name bindings: each query
+	// level, what each column reference reads, and where each aggregate's
+	// per-group value lives. levelBuf backs levels for small statements.
+	levels   []*level
+	levelBuf [4]*level
+	refs     map[*ColumnRef]binding
+	aggs     map[*FuncCall]aggSlot
+
+	// noMemo runs every subquery directly instead of through its level's
+	// result cache (see memo.go); only tests set it, to diff memoised
+	// execution against direct execution.
 	noMemo bool
 }
 
@@ -112,7 +124,8 @@ func (ex *executor) eval(e Expr, sc *scope) (Value, error) {
 		}
 		return ex.params[n.Index], nil
 	case *ColumnRef:
-		return ex.resolveColumn(n, sc)
+		b := ex.refs[n]
+		return ex.read(&b, sc)
 	case *UnaryExpr:
 		v, err := ex.eval(n.E, sc)
 		if err != nil {
@@ -205,44 +218,30 @@ func (ex *executor) eval(e Expr, sc *scope) (Value, error) {
 	}
 }
 
-func (ex *executor) resolveColumn(ref *ColumnRef, sc *scope) (Value, error) {
-	for s := sc; s != nil; s = s.parent {
-		if ref.Table != "" {
-			for i, rel := range s.rels {
-				if rel.alias == ref.Table {
-					if ci, ok := rel.colIdx[ref.Column]; ok {
-						return s.rows[i][ci], nil
-					}
-					return Value{}, fmt.Errorf("sqldb: relation %q has no column %q", ref.Table, ref.Column)
-				}
-			}
-			continue // try parent scopes for the qualified name
+// read returns the value b locates, as seen from sc.
+func (ex *executor) read(b *binding, sc *scope) (Value, error) {
+	for {
+		if b.err != nil {
+			return Value{}, b.err
 		}
-		found := -1
-		var val Value
-		for i, rel := range s.rels {
-			if ci, ok := rel.colIdx[ref.Column]; ok {
-				if found >= 0 {
-					return Value{}, fmt.Errorf("sqldb: ambiguous column %q", ref.Column)
-				}
-				found = i
-				val = s.rows[i][ci]
-			}
+		s := sc
+		for s.lvl != b.lvl {
+			s = s.parent
 		}
-		if found >= 0 {
-			return val, nil
+		if b.item < 0 {
+			return s.rows[b.rel][b.col], nil
 		}
-		if e, ok := s.aliasExpr[ref.Column]; ok && !s.aliasBusy[ref.Column] {
-			s.aliasBusy[ref.Column] = true
-			v, err := ex.eval(e, s)
-			s.aliasBusy[ref.Column] = false
+		if s.busy == nil {
+			s.busy = make([]bool, len(b.lvl.sel.Items))
+		}
+		if !s.busy[b.item] {
+			s.busy[b.item] = true
+			v, err := ex.eval(b.lvl.sel.Items[b.item].Expr, s)
+			s.busy[b.item] = false
 			return v, err
 		}
+		b = b.next
 	}
-	if ref.Table != "" {
-		return Value{}, fmt.Errorf("sqldb: unknown column %s.%s", ref.Table, ref.Column)
-	}
-	return Value{}, fmt.Errorf("sqldb: unknown column %q", ref.Column)
 }
 
 func (ex *executor) evalBinary(n *BinaryExpr, sc *scope) (Value, error) {
@@ -541,9 +540,13 @@ func (ex *executor) evalFunc(n *FuncCall, sc *scope) (Value, error) {
 	if aggregateFuncs[n.Name] {
 		// Aggregates are computed by the grouping machinery; here we only
 		// look up the precomputed per-group value.
-		for s := sc; s != nil; s = s.parent {
-			if v, ok := s.aggValues[n]; ok {
-				return v, nil
+		if a, ok := ex.aggs[n]; ok {
+			s := sc
+			for s != nil && s.lvl != a.lvl {
+				s = s.parent
+			}
+			if s != nil && s.aggs != nil {
+				return s.aggs[a.idx], nil
 			}
 		}
 		return Value{}, fmt.Errorf("sqldb: aggregate %s used outside a grouped query", n.Name)

@@ -11,8 +11,13 @@ import (
 type tuple [][]Value
 
 // execSelect runs a SELECT with the given parent scope (nil at top level,
-// the enclosing row scope for subqueries).
+// the enclosing row scope for subqueries). A top-level SELECT binds its
+// names, subqueries included, on entry.
 func (ex *executor) execSelect(sel *SelectStmt, parent *scope) (*Result, error) {
+	lv := ex.level(sel)
+	if lv == nil {
+		lv = ex.bindSelect(sel, nil)
+	}
 	if ex.trace != nil {
 		ex.tracePush(sel)
 		defer ex.tracePop()
@@ -25,7 +30,7 @@ func (ex *executor) execSelect(sel *SelectStmt, parent *scope) (*Result, error) 
 	ex.capRows = 0
 
 	// --- Top-k fast path: ORDER BY ... LIMIT streamed from a sorted index.
-	if res, ok, err := ex.tryTopK(sel, parent); ok {
+	if res, ok, err := ex.tryTopK(lv, parent); ok {
 		if err == nil && capRows > 0 && len(res.Rows) > capRows {
 			res.Rows = res.Rows[:capRows]
 		}
@@ -36,37 +41,26 @@ func (ex *executor) execSelect(sel *SelectStmt, parent *scope) (*Result, error) 
 	// row cap stops producing as soon as the cap is reached, instead of
 	// materializing every matching row and slicing afterwards.
 	if capRows > 0 {
-		if res, ok, err := ex.trySimpleCapped(sel, parent, capRows); ok {
+		if res, ok, err := ex.trySimpleCapped(lv, parent, capRows); ok {
 			return res, err
 		}
 	}
 
 	// --- FROM: materialize and join row sources.
-	rels, tuples, err := ex.execFrom(sel, parent)
+	tuples, err := ex.execFrom(lv, parent)
 	if err != nil {
 		return nil, err
 	}
 
-	aliasExpr := make(map[string]Expr)
-	for _, item := range sel.Items {
-		if item.Alias != "" && item.Expr != nil {
-			aliasExpr[item.Alias] = item.Expr
-		}
-	}
-	mkScope := func(tp tuple, agg map[*FuncCall]Value) *scope {
-		sc := newScope(parent)
-		for i, rel := range rels {
-			var row []Value
-			if tp != nil {
-				row = tp[i]
-			} else {
-				row = make([]Value, len(rel.cols)) // all NULL (empty-group projection)
+	mkScope := func(tp tuple, aggs []Value) *scope {
+		if tp == nil && len(lv.rels) > 0 {
+			tp = make(tuple, len(lv.rels))
+			for i, rel := range lv.rels {
+				tp[i] = make([]Value, len(rel.cols)) // all NULL (empty-group projection)
 			}
-			sc.push(rel, row)
 		}
-		sc.aliasExpr = aliasExpr
-		sc.aliasBusy = make(map[string]bool)
-		sc.aggValues = agg
+		sc := newScope(parent, lv, tp)
+		sc.aggs = aggs
 		return sc
 	}
 
@@ -86,25 +80,13 @@ func (ex *executor) execSelect(sel *SelectStmt, parent *scope) (*Result, error) 
 	}
 
 	// --- Grouping.
-	var aggs []*FuncCall
-	for _, item := range sel.Items {
-		collectAggregates(item.Expr, &aggs)
-	}
-	collectAggregates(sel.Having, &aggs)
-	for _, o := range sel.OrderBy {
-		collectAggregates(o.Expr, &aggs)
-	}
-	grouped := len(sel.GroupBy) > 0 || len(aggs) > 0
+	grouped := len(sel.GroupBy) > 0 || len(lv.aggs) > 0
 
 	type outRow struct {
 		vals []Value // projected values
 		keys []Value // order-by keys
 	}
 	var outputs []outRow
-
-	project := func(sc *scope) ([]Value, []string, error) {
-		return ex.projectRow(sel, rels, sc)
-	}
 
 	orderKeys := func(sc *scope, projected []Value) ([]Value, error) {
 		if len(sel.OrderBy) == 0 {
@@ -138,7 +120,7 @@ func (ex *executor) execSelect(sel *SelectStmt, parent *scope) (*Result, error) 
 			return nil, err
 		}
 		for _, g := range groups {
-			agg, err := ex.computeAggregates(aggs, g, mkScope)
+			agg, err := ex.computeAggregates(lv.aggs, g, mkScope)
 			if err != nil {
 				return nil, err
 			}
@@ -156,7 +138,7 @@ func (ex *executor) execSelect(sel *SelectStmt, parent *scope) (*Result, error) 
 					continue
 				}
 			}
-			vals, names, err := project(sc)
+			vals, names, err := ex.projectRow(lv, sc)
 			if err != nil {
 				return nil, err
 			}
@@ -173,7 +155,7 @@ func (ex *executor) execSelect(sel *SelectStmt, parent *scope) (*Result, error) 
 		}
 		for _, tp := range tuples {
 			sc := mkScope(tp, nil)
-			vals, names, err := project(sc)
+			vals, names, err := ex.projectRow(lv, sc)
 			if err != nil {
 				return nil, err
 			}
@@ -189,7 +171,7 @@ func (ex *executor) execSelect(sel *SelectStmt, parent *scope) (*Result, error) 
 	// Column names must be available even with zero rows.
 	if columns == nil {
 		var err error
-		if columns, err = ex.staticColumns(sel, rels); err != nil {
+		if columns, err = staticColumns(sel, lv.rels); err != nil {
 			return nil, err
 		}
 	}
@@ -283,46 +265,24 @@ func (ex *executor) execSelect(sel *SelectStmt, parent *scope) (*Result, error) 
 // pages fault in on paged storage) and over a streaming store scan otherwise;
 // either way, predicate and projection semantics are byte-identical to the
 // general pipeline's, which remains the fallback for every other shape.
-func (ex *executor) trySimpleCapped(sel *SelectStmt, parent *scope, capRows int) (*Result, bool, error) {
+func (ex *executor) trySimpleCapped(lv *level, parent *scope, capRows int) (*Result, bool, error) {
+	sel := lv.sel
 	if len(sel.From) != 1 || sel.From[0].Subquery != nil ||
 		len(sel.GroupBy) > 0 || sel.Having != nil || sel.Distinct ||
-		len(sel.OrderBy) > 0 || sel.Limit != nil || sel.Offset != nil {
-		return nil, false, nil
-	}
-	var aggs []*FuncCall
-	for _, item := range sel.Items {
-		collectAggregates(item.Expr, &aggs)
-	}
-	if len(aggs) > 0 {
+		len(sel.OrderBy) > 0 || sel.Limit != nil || sel.Offset != nil ||
+		len(lv.aggs) > 0 {
 		return nil, false, nil
 	}
 	t, ok := ex.db.tables[sel.From[0].Name]
 	if !ok {
 		return nil, false, nil // the general path owns the unknown-table error
 	}
-	rel := relationOf(t)
-	if alias := fromAlias(sel.From[0]); alias != "" {
-		rel.alias = alias
-	}
-	rels := []relation{rel}
-	aliasExpr := make(map[string]Expr)
-	for _, item := range sel.Items {
-		if item.Alias != "" && item.Expr != nil {
-			aliasExpr[item.Alias] = item.Expr
-		}
-	}
-	mkScope := func(row []Value) *scope {
-		sc := newScope(parent)
-		sc.push(rel, row)
-		sc.aliasExpr = aliasExpr
-		sc.aliasBusy = make(map[string]bool)
-		return sc
-	}
+	rel := lv.rels[0]
 
 	var columns []string
 	out := make([][]Value, 0) // non-nil: Result.Rows is never nil
 	emit := func(row []Value) (bool, error) {
-		sc := mkScope(row)
+		sc := newRowScope(parent, lv, row)
 		if sel.Where != nil {
 			v, err := ex.eval(sel.Where, sc)
 			if err != nil {
@@ -332,7 +292,7 @@ func (ex *executor) trySimpleCapped(sel *SelectStmt, parent *scope, capRows int)
 				return false, nil
 			}
 		}
-		vals, names, err := ex.projectRow(sel, rels, sc)
+		vals, names, err := ex.projectRow(lv, sc)
 		if err != nil {
 			return false, err
 		}
@@ -343,7 +303,7 @@ func (ex *executor) trySimpleCapped(sel *SelectStmt, parent *scope, capRows int)
 
 	prefiltered := false
 	if sel.Where != nil && !ex.db.DisableIndexScan {
-		rows, ok, err := ex.indexScan(t, rel, sel, parent)
+		rows, ok, err := ex.indexScan(t, lv, parent)
 		if err != nil {
 			return nil, true, err
 		}
@@ -378,7 +338,7 @@ func (ex *executor) trySimpleCapped(sel *SelectStmt, parent *scope, capRows int)
 	}
 	if columns == nil {
 		var err error
-		if columns, err = ex.staticColumns(sel, rels); err != nil {
+		if columns, err = staticColumns(sel, lv.rels); err != nil {
 			return nil, true, err
 		}
 	}
@@ -432,10 +392,11 @@ func itemName(item SelectItem) string {
 // projectRow evaluates the select list against one row scope, returning the
 // projected values and output column names. Shared by the general pipeline
 // and the top-k streaming path so both produce identical projections.
-func (ex *executor) projectRow(sel *SelectStmt, rels []relation, sc *scope) ([]Value, []string, error) {
+func (ex *executor) projectRow(lv *level, sc *scope) ([]Value, []string, error) {
+	rels := lv.rels
 	var vals []Value
 	var names []string
-	for _, item := range sel.Items {
+	for _, item := range lv.sel.Items {
 		if item.Star {
 			for i, rel := range rels {
 				if item.StarTable != "" && rel.alias != item.StarTable {
@@ -460,7 +421,7 @@ func (ex *executor) projectRow(sel *SelectStmt, rels []relation, sc *scope) ([]V
 }
 
 // staticColumns computes output column names without any rows.
-func (ex *executor) staticColumns(sel *SelectStmt, rels []relation) ([]string, error) {
+func staticColumns(sel *SelectStmt, rels []relation) ([]string, error) {
 	var names []string
 	for _, item := range sel.Items {
 		if item.Star {
@@ -482,36 +443,35 @@ func (ex *executor) staticColumns(sel *SelectStmt, rels []relation) ([]string, e
 	return names, nil
 }
 
-// execFrom materializes the FROM clause into relations and joined tuples.
-// When the first FROM item is a stored table and WHERE conjuncts are
-// sargable against its secondary indexes, the table's rows are pre-filtered
-// through the one access path the planner chooses (a single index scan)
-// instead of scanned in full; the WHERE clause is still
+// execFrom materializes the FROM clause into joined tuples, one row per
+// relation of lv.rels. When the first FROM item is a stored table and WHERE
+// conjuncts are sargable against its secondary indexes, the table's rows are
+// pre-filtered through the one access path the planner chooses (a single
+// index scan) instead of scanned in full; the WHERE clause is still
 // evaluated over the survivors, so residual predicates and three-valued
 // logic behave exactly as in the scan path.
-func (ex *executor) execFrom(sel *SelectStmt, parent *scope) ([]relation, []tuple, error) {
-	refs := sel.From
+func (ex *executor) execFrom(lv *level, parent *scope) ([]tuple, error) {
+	refs := lv.sel.From
 	if len(refs) == 0 {
 		// SELECT without FROM: one empty tuple.
-		return nil, []tuple{nil}, nil
+		return []tuple{nil}, nil
 	}
-	var rels []relation
 	tuples := []tuple{{}}
 	for i, ref := range refs {
 		// Stored tables come back with rows == nil: materialization is
 		// deferred until a path actually needs every row, so an index scan
 		// (or index nested-loop join) touches only the pages its matches
 		// live on when the table is on paged storage.
-		rel, rows, t, err := ex.sourceRows(ref, parent)
+		rows, t, err := ex.sourceRows(ref, parent)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if i == 0 && ref.Subquery == nil {
 			used := false
-			if sel.Where != nil && !ex.db.DisableIndexScan {
-				filtered, ok, err := ex.indexScan(t, rel, sel, parent)
+			if lv.sel.Where != nil && !ex.db.DisableIndexScan {
+				filtered, ok, err := ex.indexScan(t, lv, parent)
 				if err != nil {
-					return nil, nil, err
+					return nil, err
 				}
 				if ok {
 					rows, used = filtered, true
@@ -521,9 +481,9 @@ func (ex *executor) execFrom(sel *SelectStmt, parent *scope) ([]relation, []tupl
 				// No access path applies (or there is no WHERE at all) — a
 				// covering index can still answer the statement from key
 				// tuples without materializing a single row.
-				filtered, ok, err := ex.coveringFullScan(t, rel, sel)
+				filtered, ok, err := ex.coveringFullScan(t, lv)
 				if err != nil {
-					return nil, nil, err
+					return nil, err
 				}
 				if ok {
 					rows, used = filtered, true
@@ -531,21 +491,18 @@ func (ex *executor) execFrom(sel *SelectStmt, parent *scope) ([]relation, []tupl
 			}
 			if !used {
 				planCounts.fullScan.Add(1)
-				ex.note("scan %s", rel.alias)
+				ex.note("scan %s", lv.rels[0].alias)
 				ex.notePlan("full_scan", 0)
 				if rows, err = ex.storeAll(t); err != nil {
-					return nil, nil, err
+					return nil, err
 				}
 			}
 		}
-		joined, err := ex.join(rels, tuples, rel, rows, t, ref.JoinCond, ref.LeftJoin, parent)
-		if err != nil {
-			return nil, nil, err
+		if tuples, err = ex.join(lv, i, tuples, rows, t, parent); err != nil {
+			return nil, err
 		}
-		rels = append(rels, rel)
-		tuples = joined
 	}
-	return rels, tuples, nil
+	return tuples, nil
 }
 
 // fromAlias is the name a FROM item is visible under.
@@ -556,37 +513,34 @@ func fromAlias(ref TableRef) string {
 	return ref.Name
 }
 
-// sourceRows resolves one FROM item to a relation and, for stored tables,
-// the backing *Table (nil for subqueries) so join planning can probe its
-// indexes. Stored tables return nil rows — callers materialize via
-// t.store.All() only on paths that truly need every row, keeping index
-// access paths from faulting the whole table through the buffer pool.
-func (ex *executor) sourceRows(ref TableRef, parent *scope) (relation, [][]Value, *Table, error) {
+// sourceRows runs one FROM item's derived table, or finds its stored table
+// (the *Table, so join planning can probe its indexes). Stored tables return
+// nil rows — callers materialize via t.store.All() only on paths that truly
+// need every row, keeping index access paths from faulting the whole table
+// through the buffer pool.
+func (ex *executor) sourceRows(ref TableRef, parent *scope) ([][]Value, *Table, error) {
 	if ref.Subquery != nil {
 		res, err := ex.execSelect(ref.Subquery, parent)
 		if err != nil {
-			return relation{}, nil, nil, err
+			return nil, nil, err
 		}
-		return relationFromResult(ref.Alias, res), res.Rows, nil, nil
+		return res.Rows, nil, nil
 	}
 	t, ok := ex.db.tables[ref.Name]
 	if !ok {
-		return relation{}, nil, nil, fmt.Errorf("sqldb: unknown table %q", ref.Name)
+		return nil, nil, fmt.Errorf("sqldb: unknown table %q", ref.Name)
 	}
-	rel := relationOf(t)
-	if ref.Alias != "" {
-		rel.alias = ref.Alias
-	}
-	return rel, nil, t, nil
+	return nil, t, nil
 }
 
-// join combines existing tuples with a new relation's rows, applying the
-// optional join condition. Simple equi-joins probe a single-column index of
-// the inner table with each outer row's key (index nested-loop join) when
-// one exists, and fall back to a hash join (unless disabled), then to the
-// nested loop. When leftJoin is set, tuples with no matching row are kept
-// and padded with a NULL row for the new relation.
-func (ex *executor) join(rels []relation, tuples []tuple, rel relation, rows [][]Value, t *Table, cond Expr, leftJoin bool, parent *scope) ([]tuple, error) {
+// join combines the tuples over lv's first i relations with the rows of
+// relation i, applying its optional join condition. Simple equi-joins probe
+// a single-column index of the inner table with each outer row's key (index
+// nested-loop join) when one exists, and fall back to a hash join (unless
+// disabled), then to the nested loop. A LEFT JOIN keeps tuples with no
+// matching row, padded with a NULL row for the new relation.
+func (ex *executor) join(lv *level, i int, tuples []tuple, rows [][]Value, t *Table, parent *scope) ([]tuple, error) {
+	rel, cond, leftJoin := lv.rels[i], lv.sel.From[i].JoinCond, lv.sel.From[i].LeftJoin
 	kind := "join"
 	if leftJoin {
 		kind = "left join"
@@ -602,29 +556,27 @@ func (ex *executor) join(rels []relation, tuples []tuple, rel relation, rows [][
 		rows, err = ex.storeAll(t)
 		return err
 	}
-	if cond != nil && len(rels) > 0 {
-		if left, right, ok := splitEquiJoin(cond, rels, rel); ok {
+	if cond != nil && i > 0 {
+		if left, right, ok := ex.splitEquiJoin(cond, lv, i); ok {
 			// Index nested-loop: the inner side must be a bare column of a
 			// stored table with a single-column index (the inner rows are
 			// then exactly the table's stored rows, so index positions
 			// address them).
 			if !ex.db.DisableIndexScan && t != nil {
-				if cr, isCol := right.(*ColumnRef); isCol {
-					if ci, ok := t.colIdx[cr.Column]; ok {
-						// Probing beats building a hash table only while the
-						// outer tuples do not outnumber the inner distinct
-						// keys (each probe is a lookup either way; the hash
-						// join also materializes and hashes the inner
-						// table). An empty index costs nothing to probe.
-						if ix := t.indexOn(ci); ix != nil {
-							if err := ix.ensure(t); err != nil {
-								return nil, err
-							}
-							if nk := ix.nkeys(); ex.db.DisableHashJoin || nk == 0 || len(tuples) <= nk {
-								planCounts.indexJoin.Add(1)
-								ex.note("%s %s using index nested loop (%s)", kind, rel.alias, ix.name)
-								return ex.indexNestedLoopJoin(rels, tuples, rel, t, ix, left, leftJoin, parent)
-							}
+				if b, isCol := ex.column(right, lv); isCol {
+					// Probing beats building a hash table only while the
+					// outer tuples do not outnumber the inner distinct
+					// keys (each probe is a lookup either way; the hash
+					// join also materializes and hashes the inner
+					// table). An empty index costs nothing to probe.
+					if ix := t.indexOn(b.col); ix != nil {
+						if err := ix.ensure(t); err != nil {
+							return nil, err
+						}
+						if nk := ix.nkeys(); ex.db.DisableHashJoin || nk == 0 || len(tuples) <= nk {
+							planCounts.indexJoin.Add(1)
+							ex.note("%s %s using index nested loop (%s)", kind, rel.alias, ix.name)
+							return ex.indexNestedLoopJoin(lv, i, tuples, t, ix, left, parent)
 						}
 					}
 				}
@@ -635,7 +587,7 @@ func (ex *executor) join(rels []relation, tuples []tuple, rel relation, rows [][
 				}
 				planCounts.hashJoin.Add(1)
 				ex.note("%s %s using hash join", kind, rel.alias)
-				return ex.hashJoin(rels, tuples, rel, rows, left, right, leftJoin, parent)
+				return ex.hashJoin(lv, i, tuples, rows, left, right, parent)
 			}
 			// Both fast paths unavailable: loop, but match by the same
 			// Value.key() families as the hash/index joins so equi-join
@@ -646,10 +598,10 @@ func (ex *executor) join(rels []relation, tuples []tuple, rel relation, rows [][
 			}
 			planCounts.nestedLoopJoin.Add(1)
 			ex.note("%s %s using nested loop", kind, rel.alias)
-			return ex.nestedEquiLoopJoin(rels, tuples, rel, rows, left, right, leftJoin, parent)
+			return ex.nestedEquiLoopJoin(lv, i, tuples, rows, left, right, parent)
 		}
 	}
-	if len(rels) > 0 {
+	if i > 0 {
 		if cond == nil {
 			ex.note("cross join %s", rel.alias)
 		} else {
@@ -668,12 +620,7 @@ func (ex *executor) join(rels []relation, tuples []tuple, rel relation, rows [][
 			copy(nt, tp)
 			nt[len(tp)] = r
 			if cond != nil {
-				sc := newScope(parent)
-				for i, lr := range rels {
-					sc.push(lr, tp[i])
-				}
-				sc.push(rel, r)
-				v, err := ex.eval(cond, sc)
+				v, err := ex.eval(cond, newScope(parent, lv, nt))
 				if err != nil {
 					return nil, err
 				}
@@ -691,6 +638,15 @@ func (ex *executor) join(rels []relation, tuples []tuple, rel relation, rows [][
 	return out, nil
 }
 
+// innerScope is the scope a join's inner key is evaluated in: relation i
+// of lv holds r, and the relations before it hold nothing (the key reads
+// none of them).
+func innerScope(parent *scope, lv *level, i int, r []Value) *scope {
+	rows := make([][]Value, i+1)
+	rows[i] = r
+	return newScope(parent, lv, rows)
+}
+
 // indexNestedLoopJoin matches each outer tuple against the inner table by
 // probing ix (a single-column index on the join column) with the outer join
 // key. Match semantics are byte-identical to the hash join's: candidates
@@ -701,16 +657,13 @@ func (ex *executor) join(rels []relation, tuples []tuple, rel relation, rows [][
 // never join on either side. A NaN outer key probes no key (Compare would
 // match every number) and takes its candidates from nanRows instead, where
 // the key check keeps the inner NaN rows, as the hash join does.
-func (ex *executor) indexNestedLoopJoin(rels []relation, tuples []tuple, rel relation, t *Table, ix *tableIndex, left Expr, leftJoin bool, parent *scope) ([]tuple, error) {
+func (ex *executor) indexNestedLoopJoin(lv *level, i int, tuples []tuple, t *Table, ix *tableIndex, left Expr, parent *scope) ([]tuple, error) {
+	rel, leftJoin := lv.rels[i], lv.sel.From[i].LeftJoin
 	col := ix.cols[0]
 	probe := make([]Value, 1)
 	var out []tuple
 	for _, tp := range tuples {
-		sc := newScope(parent)
-		for i, lr := range rels {
-			sc.push(lr, tp[i])
-		}
-		v, err := ex.eval(left, sc)
+		v, err := ex.eval(left, newScope(parent, lv, tp))
 		if err != nil {
 			return nil, err
 		}
@@ -757,13 +710,12 @@ func padTuple(tp tuple, rel relation) tuple {
 // same Value.key() equality the fast paths use. Inner keys are evaluated
 // once per row, exactly as the hash join's build pass does, so evaluation
 // errors surface identically across strategies.
-func (ex *executor) nestedEquiLoopJoin(rels []relation, tuples []tuple, rel relation, rows [][]Value, left, right Expr, leftJoin bool, parent *scope) ([]tuple, error) {
+func (ex *executor) nestedEquiLoopJoin(lv *level, i int, tuples []tuple, rows [][]Value, left, right Expr, parent *scope) ([]tuple, error) {
+	rel, leftJoin := lv.rels[i], lv.sel.From[i].LeftJoin
 	keys := make([]string, len(rows))
 	null := make([]bool, len(rows))
 	for ri, r := range rows {
-		sc := newScope(parent)
-		sc.push(rel, r)
-		v, err := ex.eval(right, sc)
+		v, err := ex.eval(right, innerScope(parent, lv, i, r))
 		if err != nil {
 			return nil, err
 		}
@@ -775,11 +727,7 @@ func (ex *executor) nestedEquiLoopJoin(rels []relation, tuples []tuple, rel rela
 	}
 	var out []tuple
 	for _, tp := range tuples {
-		sc := newScope(parent)
-		for i, lr := range rels {
-			sc.push(lr, tp[i])
-		}
-		v, err := ex.eval(left, sc)
+		v, err := ex.eval(left, newScope(parent, lv, tp))
 		if err != nil {
 			return nil, err
 		}
@@ -806,12 +754,11 @@ func (ex *executor) nestedEquiLoopJoin(rels []relation, tuples []tuple, rel rela
 
 // hashJoin builds a hash table over the new relation keyed by the right
 // expression and probes it with the left expression over existing tuples.
-func (ex *executor) hashJoin(rels []relation, tuples []tuple, rel relation, rows [][]Value, left, right Expr, leftJoin bool, parent *scope) ([]tuple, error) {
+func (ex *executor) hashJoin(lv *level, i int, tuples []tuple, rows [][]Value, left, right Expr, parent *scope) ([]tuple, error) {
+	rel, leftJoin := lv.rels[i], lv.sel.From[i].LeftJoin
 	index := make(map[string][]int)
 	for ri, r := range rows {
-		sc := newScope(parent)
-		sc.push(rel, r)
-		v, err := ex.eval(right, sc)
+		v, err := ex.eval(right, innerScope(parent, lv, i, r))
 		if err != nil {
 			return nil, err
 		}
@@ -822,11 +769,7 @@ func (ex *executor) hashJoin(rels []relation, tuples []tuple, rel relation, rows
 	}
 	var out []tuple
 	for _, tp := range tuples {
-		sc := newScope(parent)
-		for i, lr := range rels {
-			sc.push(lr, tp[i])
-		}
-		v, err := ex.eval(left, sc)
+		v, err := ex.eval(left, newScope(parent, lv, tp))
 		if err != nil {
 			return nil, err
 		}
@@ -850,191 +793,58 @@ func (ex *executor) hashJoin(rels []relation, tuples []tuple, rel relation, rows
 	return out, nil
 }
 
-// splitEquiJoin decides whether cond is `leftExpr = rightExpr` with leftExpr
-// referencing only the existing relations and rightExpr only the new one
-// (either orientation). Expressions containing subqueries or aggregates are
-// never split.
-func splitEquiJoin(cond Expr, leftRels []relation, rightRel relation) (left, right Expr, ok bool) {
+// splitEquiJoin decides whether cond, the ON condition of lv's relation i,
+// is `leftExpr = rightExpr` with leftExpr reading only the relations before
+// i and rightExpr only relation i (either orientation). Expressions that
+// read anything else (an enclosing level, or nothing at all) or contain a
+// subquery, an IN list or an aggregate are never split.
+func (ex *executor) splitEquiJoin(cond Expr, lv *level, i int) (left, right Expr, ok bool) {
 	be, isBin := cond.(*BinaryExpr)
 	if !isBin || be.Op != "=" || be.Quant != "" {
 		return nil, nil, false
 	}
-	lSide, lOK := exprSide(be.L, leftRels, rightRel)
-	rSide, rOK := exprSide(be.R, leftRels, rightRel)
-	if !lOK || !rOK {
-		return nil, nil, false
-	}
-	switch {
-	case lSide == "left" && rSide == "right":
+	switch l, r := ex.joinSide(be.L, lv, i), ex.joinSide(be.R, lv, i); {
+	case l == "left" && r == "right":
 		return be.L, be.R, true
-	case lSide == "right" && rSide == "left":
+	case l == "right" && r == "left":
 		return be.R, be.L, true
 	default:
 		return nil, nil, false
 	}
 }
 
-// exprSide classifies which side's relations an expression references:
-// "left", "right", or "" (mixed, unresolvable, or contains subqueries).
-func exprSide(e Expr, leftRels []relation, rightRel relation) (string, bool) {
-	var refs []*ColumnRef
-	if !collectColumnRefs(e, &refs) {
-		return "", false
-	}
-	side := ""
-	for _, ref := range refs {
-		s, ok := refSide(ref, leftRels, rightRel)
-		if !ok {
-			return "", false
-		}
-		if side == "" {
+// joinSide reports which side of the join at lv's relation i expression e
+// reads: "left", "right", or "" when it reads both, neither or something
+// else.
+func (ex *executor) joinSide(e Expr, lv *level, i int) string {
+	side, ok := "", true
+	walkExpr(e, func(x Expr) bool {
+		switch n := x.(type) {
+		case *ColumnRef:
+			b, local := ex.column(n, lv)
+			s := "left"
+			if b.rel == i {
+				s = "right"
+			}
+			ok = ok && local && (side == "" || side == s)
 			side = s
-		} else if side != s {
-			return "", false
+		case *FuncCall:
+			ok = ok && !aggregateFuncs[n.Name]
+		case *InExpr:
+			ok = false
 		}
+		return ok
+	}, func(*SelectStmt) { ok = false })
+	if !ok {
+		return ""
 	}
-	if side == "" {
-		return "", false // constant expressions are not join keys
-	}
-	return side, true
-}
-
-func refSide(ref *ColumnRef, leftRels []relation, rightRel relation) (string, bool) {
-	if ref.Table != "" {
-		if rightRel.alias == ref.Table {
-			if _, ok := rightRel.colIdx[ref.Column]; ok {
-				return "right", true
-			}
-			return "", false
-		}
-		for _, lr := range leftRels {
-			if lr.alias == ref.Table {
-				if _, ok := lr.colIdx[ref.Column]; ok {
-					return "left", true
-				}
-			}
-		}
-		return "", false // may be a correlated outer reference
-	}
-	inLeft := false
-	for _, lr := range leftRels {
-		if _, ok := lr.colIdx[ref.Column]; ok {
-			inLeft = true
-			break
-		}
-	}
-	_, inRight := rightRel.colIdx[ref.Column]
-	switch {
-	case inLeft && !inRight:
-		return "left", true
-	case inRight && !inLeft:
-		return "right", true
-	default:
-		return "", false
-	}
-}
-
-// collectColumnRefs gathers all column references of a subquery-free,
-// aggregate-free expression; it returns false when the expression contains a
-// construct that disqualifies hash-join splitting.
-func collectColumnRefs(e Expr, out *[]*ColumnRef) bool {
-	switch n := e.(type) {
-	case nil:
-		return true
-	case *Literal, *ParamExpr:
-		return true
-	case *ColumnRef:
-		*out = append(*out, n)
-		return true
-	case *BinaryExpr:
-		if n.Sub != nil {
-			return false
-		}
-		return collectColumnRefs(n.L, out) && collectColumnRefs(n.R, out)
-	case *UnaryExpr:
-		return collectColumnRefs(n.E, out)
-	case *FuncCall:
-		if aggregateFuncs[n.Name] {
-			return false
-		}
-		for _, a := range n.Args {
-			if !collectColumnRefs(a, out) {
-				return false
-			}
-		}
-		return true
-	case *IsNullExpr:
-		return collectColumnRefs(n.E, out)
-	case *BetweenExpr:
-		return collectColumnRefs(n.E, out) && collectColumnRefs(n.Lo, out) && collectColumnRefs(n.Hi, out)
-	case *LikeExpr:
-		return collectColumnRefs(n.E, out) && collectColumnRefs(n.Pattern, out)
-	case *CaseExpr:
-		if n.Operand != nil && !collectColumnRefs(n.Operand, out) {
-			return false
-		}
-		for _, w := range n.Whens {
-			if !collectColumnRefs(w.Cond, out) || !collectColumnRefs(w.Then, out) {
-				return false
-			}
-		}
-		if n.Else != nil {
-			return collectColumnRefs(n.Else, out)
-		}
-		return true
-	default:
-		return false // subqueries, EXISTS, IN
-	}
-}
-
-// collectAggregates appends every aggregate FuncCall node in e to out,
-// without descending into subqueries (their aggregates belong to the inner
-// query).
-func collectAggregates(e Expr, out *[]*FuncCall) {
-	switch n := e.(type) {
-	case nil:
-	case *Literal, *ColumnRef, *ExistsExpr, *SubqueryExpr:
-	case *BinaryExpr:
-		collectAggregates(n.L, out)
-		collectAggregates(n.R, out)
-	case *UnaryExpr:
-		collectAggregates(n.E, out)
-	case *FuncCall:
-		if aggregateFuncs[n.Name] {
-			*out = append(*out, n)
-			return
-		}
-		for _, a := range n.Args {
-			collectAggregates(a, out)
-		}
-	case *IsNullExpr:
-		collectAggregates(n.E, out)
-	case *InExpr:
-		collectAggregates(n.E, out)
-		for _, le := range n.List {
-			collectAggregates(le, out)
-		}
-	case *BetweenExpr:
-		collectAggregates(n.E, out)
-		collectAggregates(n.Lo, out)
-		collectAggregates(n.Hi, out)
-	case *LikeExpr:
-		collectAggregates(n.E, out)
-		collectAggregates(n.Pattern, out)
-	case *CaseExpr:
-		collectAggregates(n.Operand, out)
-		for _, w := range n.Whens {
-			collectAggregates(w.Cond, out)
-			collectAggregates(w.Then, out)
-		}
-		collectAggregates(n.Else, out)
-	}
+	return side
 }
 
 // groupTuples partitions tuples by the GROUP BY expressions (one group of
 // all tuples when none), preserving first-seen order. A query with
 // aggregates but no GROUP BY and no rows still produces one empty group.
-func (ex *executor) groupTuples(sel *SelectStmt, tuples []tuple, mkScope func(tuple, map[*FuncCall]Value) *scope) ([][]tuple, error) {
+func (ex *executor) groupTuples(sel *SelectStmt, tuples []tuple, mkScope func(tuple, []Value) *scope) ([][]tuple, error) {
 	if len(sel.GroupBy) == 0 {
 		return [][]tuple{tuples}, nil
 	}
@@ -1064,22 +874,19 @@ func (ex *executor) groupTuples(sel *SelectStmt, tuples []tuple, mkScope func(tu
 }
 
 // computeAggregates evaluates each aggregate call over the group's tuples.
-func (ex *executor) computeAggregates(aggs []*FuncCall, group []tuple, mkScope func(tuple, map[*FuncCall]Value) *scope) (map[*FuncCall]Value, error) {
-	out := make(map[*FuncCall]Value, len(aggs))
-	for _, agg := range aggs {
-		if _, done := out[agg]; done {
-			continue
-		}
+func (ex *executor) computeAggregates(aggs []*FuncCall, group []tuple, mkScope func(tuple, []Value) *scope) ([]Value, error) {
+	out := make([]Value, len(aggs))
+	for i, agg := range aggs {
 		v, err := ex.computeAggregate(agg, group, mkScope)
 		if err != nil {
 			return nil, err
 		}
-		out[agg] = v
+		out[i] = v
 	}
 	return out, nil
 }
 
-func (ex *executor) computeAggregate(agg *FuncCall, group []tuple, mkScope func(tuple, map[*FuncCall]Value) *scope) (Value, error) {
+func (ex *executor) computeAggregate(agg *FuncCall, group []tuple, mkScope func(tuple, []Value) *scope) (Value, error) {
 	if agg.Star {
 		if agg.Name != "COUNT" {
 			return Value{}, fmt.Errorf("sqldb: %s(*) is not valid", agg.Name)

@@ -72,8 +72,8 @@ func (ex *executor) tracePush(sel *SelectStmt) {
 		label = "select"
 	}
 	node := &planNode{label: label}
-	if m := ex.memo[sel]; m != nil {
-		node.entries = append(node.entries, planEntry{text: m.label})
+	if lv := ex.level(sel); lv != nil && lv.memo != nil {
+		node.entries = append(node.entries, planEntry{text: lv.memo.label})
 	}
 	if tr.root == nil {
 		tr.root = node

@@ -84,13 +84,13 @@ type sarg struct {
 // indexed column of the scan table. ok=false demands a full-scan fallback
 // (an incomparable probe must surface its type error exactly as the scan
 // path would).
-func (ex *executor) collectSargs(t *Table, rel relation, sel *SelectStmt, parent *scope) (sargSet, bool) {
+func (ex *executor) collectSargs(t *Table, lv *level, parent *scope) (sargSet, bool) {
 	var conjs []Expr
-	collectConjuncts(sel.Where, &conjs)
+	collectConjuncts(lv.sel.Where, &conjs)
 	set := sargSet{byCol: make(map[int]*colSarg)}
 	indexed := t.indexedCols()
 	for _, c := range conjs {
-		sg, ok := ex.sargable(c, t, rel, sel, parent)
+		sg, ok := ex.sargable(c, lv, parent)
 		if !ok || !indexed[sg.ci] {
 			continue // stays residual
 		}
@@ -172,11 +172,13 @@ func (ex *executor) collectSargs(t *Table, rel relation, sel *SelectStmt, parent
 }
 
 // sargable decides whether one conjunct has the shape `column op constant`
-// (either orientation, or BETWEEN with constant bounds), where "constant"
-// means: no reference to any relation of this FROM clause, so the value is
-// fixed for the whole scan (literals, parameters, and correlated references
-// to enclosing scopes all qualify).
-func (ex *executor) sargable(c Expr, t *Table, rel relation, sel *SelectStmt, parent *scope) (sarg, bool) {
+// (either orientation, or BETWEEN with constant bounds), where the column is
+// one of the scan table's and "constant" means: no reference to anything of
+// this query level, so the value is fixed for the whole scan (literals,
+// parameters, and correlated references to enclosing scopes all qualify).
+// Constants are evaluated in the enclosing scope, which holds every value
+// they read.
+func (ex *executor) sargable(c Expr, lv *level, parent *scope) (sarg, bool) {
 	switch n := c.(type) {
 	case *BinaryExpr:
 		if n.Quant != "" || n.Sub != nil {
@@ -187,14 +189,14 @@ func (ex *executor) sargable(c Expr, t *Table, rel relation, sel *SelectStmt, pa
 		default:
 			return sarg{}, false
 		}
-		if ci, ok := ex.sargColumn(n.L, t, rel, sel); ok && ex.outerConst(n.R, sel) {
+		if ci, ok := ex.scanColumn(n.L, lv); ok && ex.outerConst(n.R, lv) {
 			v, err := ex.eval(n.R, parent)
 			if err != nil {
 				return sarg{}, false
 			}
 			return sarg{ci: ci, op: n.Op, v: v}, true
 		}
-		if ci, ok := ex.sargColumn(n.R, t, rel, sel); ok && ex.outerConst(n.L, sel) {
+		if ci, ok := ex.scanColumn(n.R, lv); ok && ex.outerConst(n.L, lv) {
 			v, err := ex.eval(n.L, parent)
 			if err != nil {
 				return sarg{}, false
@@ -205,13 +207,13 @@ func (ex *executor) sargable(c Expr, t *Table, rel relation, sel *SelectStmt, pa
 		if n.Not || n.Sub != nil {
 			return sarg{}, false
 		}
-		ci, ok := ex.sargColumn(n.E, t, rel, sel)
+		ci, ok := ex.scanColumn(n.E, lv)
 		if !ok {
 			return sarg{}, false
 		}
 		vals := make([]Value, 0, len(n.List))
 		for _, item := range n.List {
-			if !ex.outerConst(item, sel) {
+			if !ex.outerConst(item, lv) {
 				return sarg{}, false
 			}
 			v, err := ex.eval(item, parent)
@@ -225,8 +227,8 @@ func (ex *executor) sargable(c Expr, t *Table, rel relation, sel *SelectStmt, pa
 		if n.Not {
 			return sarg{}, false
 		}
-		ci, ok := ex.sargColumn(n.E, t, rel, sel)
-		if !ok || !ex.outerConst(n.Lo, sel) || !ex.outerConst(n.Hi, sel) {
+		ci, ok := ex.scanColumn(n.E, lv)
+		if !ok || !ex.outerConst(n.Lo, lv) || !ex.outerConst(n.Hi, lv) {
 			return sarg{}, false
 		}
 		lo, err := ex.eval(n.Lo, parent)
@@ -258,97 +260,34 @@ func flipCmp(op string) string {
 	}
 }
 
-// sargColumn resolves e as a column of the scan table, returning false when
-// e is not a column of that table or when the reference could be ambiguous
-// against another FROM item.
-func (ex *executor) sargColumn(e Expr, t *Table, rel relation, sel *SelectStmt) (int, bool) {
-	cr, ok := e.(*ColumnRef)
-	if !ok {
-		return 0, false
-	}
-	ci, ok := t.colIdx[cr.Column]
-	if !ok {
-		return 0, false
-	}
-	if cr.Table != "" {
-		if cr.Table != rel.alias {
-			return 0, false
-		}
-		for _, other := range sel.From[1:] {
-			if fromAlias(other) == rel.alias {
-				return 0, false // duplicate alias: resolution is ambiguous
-			}
-		}
-	} else {
-		for _, other := range sel.From[1:] {
-			if other.Subquery != nil {
-				return 0, false // unknown columns: could shadow or be ambiguous
-			}
-			ot, ok := ex.db.tables[other.Name]
-			if !ok {
-				return 0, false
-			}
-			if _, dup := ot.colIdx[cr.Column]; dup {
-				return 0, false // ambiguous with a joined table's column
-			}
-		}
-	}
-	return ci, true
+// scanColumn returns the scan table column e names, or false when e is not
+// a reference to a column of lv's first FROM relation.
+func (ex *executor) scanColumn(e Expr, lv *level) (int, bool) {
+	b, ok := ex.column(e, lv)
+	return b.col, ok && b.rel == 0
 }
 
-// outerConst reports whether e cannot reference any relation or select
-// alias of this query level, making it constant for the whole scan.
-func (ex *executor) outerConst(e Expr, sel *SelectStmt) bool {
-	switch n := e.(type) {
-	case *Literal, *ParamExpr:
-		return true
-	case *ColumnRef:
-		if n.Table != "" {
-			for _, ref := range sel.From {
-				if fromAlias(ref) == n.Table {
-					return false
-				}
-			}
-			return true // qualified with an enclosing scope's alias
+// outerConst reports whether e reads nothing of query level lv, making it
+// constant for the whole scan. Only literals, parameters, outer references
+// and arithmetic or scalar functions over them qualify.
+func (ex *executor) outerConst(e Expr, lv *level) bool {
+	ok := true
+	walkExpr(e, func(x Expr) bool {
+		switch n := x.(type) {
+		case *Literal, *ParamExpr, *UnaryExpr:
+		case *ColumnRef:
+			b, bound := ex.refs[n]
+			ok = ok && bound && b.err == nil && b.lvl != lv
+		case *BinaryExpr:
+			ok = ok && n.Quant == "" && n.Sub == nil
+		case *FuncCall:
+			ok = ok && !n.Star && !aggregateFuncs[n.Name]
+		default:
+			ok = false // subqueries, CASE, LIKE, ...: conservatively local
 		}
-		for _, ref := range sel.From {
-			if ref.Subquery != nil {
-				return false
-			}
-			ot, ok := ex.db.tables[ref.Name]
-			if !ok {
-				return false
-			}
-			if _, local := ot.colIdx[n.Column]; local {
-				return false
-			}
-		}
-		for _, item := range sel.Items {
-			if item.Alias == n.Column {
-				return false // select-list alias would shadow the outer name
-			}
-		}
-		return true
-	case *UnaryExpr:
-		return ex.outerConst(n.E, sel)
-	case *BinaryExpr:
-		if n.Quant != "" || n.Sub != nil {
-			return false
-		}
-		return ex.outerConst(n.L, sel) && ex.outerConst(n.R, sel)
-	case *FuncCall:
-		if n.Star || aggregateFuncs[n.Name] {
-			return false
-		}
-		for _, a := range n.Args {
-			if !ex.outerConst(a, sel) {
-				return false
-			}
-		}
-		return true
-	default:
-		return false // subqueries, CASE, LIKE, ...: conservatively local
-	}
+		return ok
+	}, nil)
+	return ok
 }
 
 // accessPath is one usable way to probe one index: equality on a leading
@@ -506,11 +445,12 @@ func pathPositions(p accessPath) []int {
 // It returns the filtered rows (a superset of the rows the full WHERE will
 // keep — the residual WHERE still runs over every returned row) and whether
 // an index was used. See the error-parity contract at the top of this file.
-func (ex *executor) indexScan(t *Table, rel relation, sel *SelectStmt, parent *scope) ([][]Value, bool, error) {
+func (ex *executor) indexScan(t *Table, lv *level, parent *scope) ([][]Value, bool, error) {
 	if t == nil || len(t.indexes) == 0 {
 		return nil, false, nil
 	}
-	set, ok := ex.collectSargs(t, rel, sel, parent)
+	rel := lv.rels[0]
+	set, ok := ex.collectSargs(t, lv, parent)
 	if !ok {
 		return nil, false, nil
 	}
@@ -530,7 +470,7 @@ func (ex *executor) indexScan(t *Table, rel relation, sel *SelectStmt, parent *s
 	if len(built) == 0 {
 		return nil, false, nil
 	}
-	coverCols, coverOK := ex.coveringRefs(sel, t, rel)
+	coverCols, coverOK := ex.coveringRefs(lv)
 	path, covering := choosePath(built, coverCols, coverOK)
 	var planDur time.Duration
 	if ex.span != nil {
@@ -598,93 +538,40 @@ func (ex *executor) sentinelRows(t *Table) ([][]Value, bool, error) {
 // FROM table, no star projection, and no subquery anywhere in the
 // statement's expressions (a subquery's scan reads whatever it likes).
 // ok=false means covering can never apply to this statement.
-func (ex *executor) coveringRefs(sel *SelectStmt, t *Table, rel relation) (map[int]bool, bool) {
+func (ex *executor) coveringRefs(lv *level) (map[int]bool, bool) {
+	sel := lv.sel
 	if len(sel.From) != 1 {
 		return nil, false
 	}
 	refs := make(map[int]bool)
-	sub := false
-	visit := func(cr *ColumnRef) {
-		if cr.Table != "" && cr.Table != rel.alias {
-			return // an enclosing scope's relation
-		}
-		if ci, ok := t.colIdx[cr.Column]; ok {
+	ok := true
+	visit := func(x Expr) bool {
+		// Names bound elsewhere read select aliases, enclosing scopes, or
+		// nothing: none of them reads this table's rows.
+		if ci, local := ex.scanColumn(x, lv); local {
 			refs[ci] = true
 		}
-		// Unknown names resolve to select aliases, enclosing scopes, or an
-		// error — none of which read this table's rows.
+		return true
 	}
+	sub := func(*SelectStmt) { ok = false }
 	for _, item := range sel.Items {
 		if item.Star {
 			return nil, false
 		}
-		walkColumnRefs(item.Expr, visit, &sub)
+		walkExpr(item.Expr, visit, sub)
 	}
-	walkColumnRefs(sel.Where, visit, &sub)
+	walkExpr(sel.Where, visit, sub)
 	for _, g := range sel.GroupBy {
-		walkColumnRefs(g, visit, &sub)
+		walkExpr(g, visit, sub)
 	}
-	walkColumnRefs(sel.Having, visit, &sub)
+	walkExpr(sel.Having, visit, sub)
 	for _, o := range sel.OrderBy {
-		walkColumnRefs(o.Expr, visit, &sub)
+		walkExpr(o.Expr, visit, sub)
 	}
-	if sub {
+	if !ok {
 		return nil, false
 	}
 	return refs, true
-}
-
-// walkColumnRefs visits every ColumnRef under e; *sub is set when a node
-// that can execute a subquery (or an unrecognized node) is found, which
-// makes covering analysis bail.
-func walkColumnRefs(e Expr, visit func(*ColumnRef), sub *bool) {
-	switch n := e.(type) {
-	case nil:
-		return
-	case *ColumnRef:
-		visit(n)
-	case *Literal, *ParamExpr:
-	case *UnaryExpr:
-		walkColumnRefs(n.E, visit, sub)
-	case *BinaryExpr:
-		if n.Sub != nil {
-			*sub = true
-			return
-		}
-		walkColumnRefs(n.L, visit, sub)
-		walkColumnRefs(n.R, visit, sub)
-	case *FuncCall:
-		for _, a := range n.Args {
-			walkColumnRefs(a, visit, sub)
-		}
-	case *IsNullExpr:
-		walkColumnRefs(n.E, visit, sub)
-	case *InExpr:
-		if n.Sub != nil {
-			*sub = true
-			return
-		}
-		walkColumnRefs(n.E, visit, sub)
-		for _, item := range n.List {
-			walkColumnRefs(item, visit, sub)
-		}
-	case *BetweenExpr:
-		walkColumnRefs(n.E, visit, sub)
-		walkColumnRefs(n.Lo, visit, sub)
-		walkColumnRefs(n.Hi, visit, sub)
-	case *LikeExpr:
-		walkColumnRefs(n.E, visit, sub)
-		walkColumnRefs(n.Pattern, visit, sub)
-	case *CaseExpr:
-		walkColumnRefs(n.Operand, visit, sub)
-		for _, w := range n.Whens {
-			walkColumnRefs(w.Cond, visit, sub)
-			walkColumnRefs(w.Then, visit, sub)
-		}
-		walkColumnRefs(n.Else, visit, sub)
-	default:
-		*sub = true // ExistsExpr, SubqueryExpr, future node kinds
-	}
 }
 
 // coveringFullScan answers a statement whose referenced columns all live in
@@ -692,11 +579,11 @@ func walkColumnRefs(e Expr, visit func(*ColumnRef), sub *bool) {
 // (including statements with no WHERE at all): the covering analog of the
 // full scan. Every position is returned; WHERE, if any, stays residual.
 // On paged tables this touches zero row pages.
-func (ex *executor) coveringFullScan(t *Table, rel relation, sel *SelectStmt) ([][]Value, bool, error) {
+func (ex *executor) coveringFullScan(t *Table, lv *level) ([][]Value, bool, error) {
 	if t == nil || len(t.indexes) == 0 || ex.db.DisableIndexScan {
 		return nil, false, nil
 	}
-	refs, ok := ex.coveringRefs(sel, t, rel)
+	refs, ok := ex.coveringRefs(lv)
 	if !ok {
 		return nil, false, nil
 	}
@@ -735,7 +622,7 @@ func (ex *executor) coveringFullScan(t *Table, rel relation, sel *SelectStmt) ([
 		return nil, false, err
 	}
 	planCounts.coveringScan.Add(1)
-	ex.note("scan %s using covering index %s", rel.alias, best.name)
+	ex.note("scan %s using covering index %s", lv.rels[0].alias, best.name)
 	ex.notePlan("covering_scan", 0)
 	return rows, true, nil
 }
@@ -820,34 +707,22 @@ func collectConjuncts(e Expr, out *[]Expr) {
 // emitted from nullRows first (ascending; NULLs sort first) or last
 // (descending), which is only well-defined for a single order key — other
 // NULL configurations fall back to the general path.
-func (ex *executor) tryTopK(sel *SelectStmt, parent *scope) (*Result, bool, error) {
+func (ex *executor) tryTopK(lv *level, parent *scope) (*Result, bool, error) {
+	sel := lv.sel
 	if ex.db.DisableIndexScan || sel.Limit == nil || len(sel.OrderBy) == 0 {
 		return nil, false, nil
 	}
-	if sel.Distinct || len(sel.GroupBy) > 0 || sel.Having != nil {
+	if sel.Distinct || len(sel.GroupBy) > 0 || sel.Having != nil || len(lv.aggs) > 0 {
 		return nil, false, nil
 	}
 	if len(sel.From) != 1 || sel.From[0].Subquery != nil {
-		return nil, false, nil
-	}
-	var aggs []*FuncCall
-	for _, item := range sel.Items {
-		collectAggregates(item.Expr, &aggs)
-	}
-	for _, o := range sel.OrderBy {
-		collectAggregates(o.Expr, &aggs)
-	}
-	if len(aggs) > 0 {
 		return nil, false, nil
 	}
 	t, ok := ex.db.tables[sel.From[0].Name]
 	if !ok || len(t.indexes) == 0 {
 		return nil, false, nil
 	}
-	rel := relationOf(t)
-	if sel.From[0].Alias != "" {
-		rel.alias = sel.From[0].Alias
-	}
+	rel := lv.rels[0]
 
 	// Every ORDER BY key must be a bare column of the table, one direction.
 	desc := sel.OrderBy[0].Desc
@@ -856,18 +731,14 @@ func (ex *executor) tryTopK(sel *SelectStmt, parent *scope) (*Result, bool, erro
 		if o.Desc != desc {
 			return nil, false, nil
 		}
-		cr, isCol := o.Expr.(*ColumnRef)
-		if !isCol || (cr.Table != "" && cr.Table != rel.alias) {
-			return nil, false, nil
-		}
-		ci, ok := t.colIdx[cr.Column]
+		ci, ok := ex.scanColumn(o.Expr, lv)
 		if !ok {
 			return nil, false, nil
 		}
 		orderCols[i] = ci
 	}
 
-	set, ok := ex.collectSargs(t, rel, sel, parent)
+	set, ok := ex.collectSargs(t, lv, parent)
 	if !ok || set.empty {
 		return nil, false, nil // scan fallback / impossible predicate: general path
 	}
@@ -950,21 +821,6 @@ func (ex *executor) tryTopK(sel *SelectStmt, parent *scope) (*Result, bool, erro
 	}
 	start, end := ix.prefixRange(eq, lo, hi, loS, hiS)
 
-	aliasExpr := make(map[string]Expr)
-	for _, item := range sel.Items {
-		if item.Alias != "" && item.Expr != nil {
-			aliasExpr[item.Alias] = item.Expr
-		}
-	}
-	rels := []relation{rel}
-	mkScope := func(row []Value) *scope {
-		sc := newScope(parent)
-		sc.push(rel, row)
-		sc.aliasExpr = aliasExpr
-		sc.aliasBusy = make(map[string]bool)
-		return sc
-	}
-
 	var columns []string
 	var out [][]Value
 	processed := 0
@@ -974,7 +830,7 @@ func (ex *executor) tryTopK(sel *SelectStmt, parent *scope) (*Result, bool, erro
 		if rerr != nil {
 			return true, rerr
 		}
-		sc := mkScope(row)
+		sc := newRowScope(parent, lv, row)
 		if sel.Where != nil {
 			v, err := ex.eval(sel.Where, sc)
 			if err != nil {
@@ -984,7 +840,7 @@ func (ex *executor) tryTopK(sel *SelectStmt, parent *scope) (*Result, bool, erro
 				return false, nil
 			}
 		}
-		vals, names, err := ex.projectRow(sel, rels, sc)
+		vals, names, err := ex.projectRow(lv, sc)
 		if err != nil {
 			return true, err
 		}
@@ -1052,7 +908,7 @@ func (ex *executor) tryTopK(sel *SelectStmt, parent *scope) (*Result, bool, erro
 		out = [][]Value{} // match the general path's non-nil empty Rows
 	}
 	if columns == nil {
-		if columns, err = ex.staticColumns(sel, rels); err != nil {
+		if columns, err = staticColumns(sel, lv.rels); err != nil {
 			return nil, true, err
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -229,5 +230,55 @@ func TestResolutionGolden(t *testing.T) {
 			}
 		}
 		t.Fatalf("resolution changed: want %d lines, got %d", len(wl), len(gl))
+	}
+}
+
+// TestBindingFollowsEachDatabase runs one prepared statement against two
+// databases whose tables lay out the same names differently, from several
+// goroutines at once: each execution binds against its own database, so
+// every answer matches that database alone.
+func TestBindingFollowsEachDatabase(t *testing.T) {
+	st := MustPrepare(`SELECT b AS k, (SELECT COUNT(*) FROM s WHERE s.a = k) FROM t
+		WHERE a >= ? AND EXISTS (SELECT * FROM s WHERE s.a = t.a) ORDER BY k`)
+	dbA, dbB := New(), New()
+	dbA.MustExec("CREATE TABLE t (a INT, b INT)")
+	dbA.MustExec("CREATE TABLE s (a INT)")
+	dbB.MustExec("CREATE TABLE t (c TEXT, b INT, a INT)")
+	dbB.MustExec("CREATE TABLE s (z INT, a INT)")
+	dbA.MustExec("INSERT INTO t VALUES (1, 1), (2, 2), (3, 1)")
+	dbA.MustExec("INSERT INTO s VALUES (1), (2), (2)")
+	dbB.MustExec("INSERT INTO t VALUES ('x', 2, 1), ('y', 1, 2), ('z', 3, 3)")
+	dbB.MustExec("INSERT INTO s VALUES (0, 1), (0, 2), (0, 3), (0, 3)")
+	want := map[*DB]string{
+		dbA: "[[1 1] [2 2]]",
+		dbB: "[[1 1] [2 1] [3 2]]",
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		db := dbA
+		if g%2 == 1 {
+			db = dbB
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				res, err := st.Query(db, Int(1))
+				if err != nil {
+					errs <- err
+					return
+				}
+				if got := fmt.Sprint(res.Rows); got != want[db] {
+					errs <- fmt.Errorf("got %s, want %s", got, want[db])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }
